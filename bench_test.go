@@ -42,7 +42,7 @@ func BenchmarkTable3Sizing(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := dse.Table3(benches, arch.Default().Chip)
+		rows, err := dse.NewSweep(benches, arch.Default().Chip, nil).Table3(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkTable6Overheads(b *testing.B) {
 	b.ResetTimer()
 	var cum float64
 	for i := 0; i < b.N; i++ {
-		rows, err := dse.Table6(benches, arch.Default())
+		rows, err := dse.NewSweep(benches, arch.Default().Chip, nil).Table6(context.Background(), arch.Default())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func BenchmarkFig7(b *testing.B) {
 		b.Run(panel, func(b *testing.B) {
 			var best int
 			for i := 0; i < b.N; i++ {
-				p, err := dse.Figure7(panel, benches, arch.Default().Chip)
+				p, err := dse.NewSweep(benches, arch.Default().Chip, nil).Figure7(context.Background(), panel)
 				if err != nil {
 					b.Fatal(err)
 				}

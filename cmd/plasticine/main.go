@@ -198,7 +198,6 @@ type suiteFlags struct {
 	cacheMB    *int
 	jobTimeout *time.Duration
 	jobRetries *int
-	engine     *string
 }
 
 // addSuiteFlags registers the shared suite flags on a subcommand.
@@ -209,31 +208,13 @@ func addSuiteFlags(fs *flag.FlagSet) *suiteFlags {
 		cacheMB:    fs.Int("cache-mb", 0, "persistent cache size cap in MB (0 = 256)"),
 		jobTimeout: fs.Duration("job-timeout", 0, "per-job deadline; timed-out jobs are retried under -job-retries (0 = none)"),
 		jobRetries: fs.Int("job-retries", 0, "extra attempts for transiently-failing jobs (retries are reported on stderr)"),
-		engine:     fs.String("engine", "event", "simulator scheduling core: event (discrete-event, default) or cycle (legacy reference loop); results are byte-identical"),
-	}
-}
-
-// parseEngine maps the -engine flag to the simulator's core selector.
-func parseEngine(s string) (sim.EngineKind, error) {
-	switch s {
-	case "", "event":
-		return sim.EngineEvent, nil
-	case "cycle":
-		return sim.EngineCycle, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want event or cycle)", s)
 	}
 }
 
 // session builds the core.Session the flags describe. Retry accounting goes
 // to stderr, keeping stdout byte-identical across runs and worker counts.
 func (f *suiteFlags) session(extra ...core.SessionOption) (*core.Session, error) {
-	eng, err := parseEngine(*f.engine)
-	if err != nil {
-		return nil, err
-	}
-	opts := []core.SessionOption{core.WithWorkers(*f.workers),
-		core.WithSimOptions(sim.Options{Engine: eng})}
+	opts := []core.SessionOption{core.WithWorkers(*f.workers)}
 	if *f.cacheDir != "" {
 		d, err := exec.OpenDiskCache(*f.cacheDir, int64(*f.cacheMB)<<20)
 		if err != nil {
@@ -279,18 +260,13 @@ func cmdRun(ctx context.Context, args []string) error {
 	faultSpec := fs.String("faults", "", "fault plan, e.g. seed=1,pcu=4,pmu=2,sw=1,chan=1,retry=0.001")
 	events := fs.String("events", "", "timed mid-run faults, e.g. kill-pcu@5000,kill-chan@12000")
 	budget := fs.Int64("budget", 0, "abort via the watchdog after this many cycles (0 = unlimited)")
-	engine := fs.String("engine", "event", "simulator scheduling core: event (default) or cycle")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: plasticine run <benchmark> [-faults spec] [-events list] [-budget cycles] [-engine event|cycle]")
+		return fmt.Errorf("usage: plasticine run <benchmark> [-faults spec] [-events list] [-budget cycles]")
 	}
 	b, err := workloads.ByName(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	eng, err := parseEngine(*engine)
 	if err != nil {
 		return err
 	}
@@ -302,7 +278,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		fmt.Printf("fault plan: %s\n", plan)
 	}
 	sess := core.NewSession(core.WithFaults(plan),
-		core.WithSimOptions(sim.Options{MaxCycles: *budget, Engine: eng}))
+		core.WithSimOptions(sim.Options{MaxCycles: *budget}))
 	r, err := sess.RunBenchmark(ctx, b)
 	if err != nil {
 		return err

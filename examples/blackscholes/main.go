@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"plasticine/internal/compiler"
 	"plasticine/internal/core"
 	"plasticine/internal/sim"
 	"plasticine/internal/workloads"
@@ -60,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m2, err := compiler.Compile(p2, sys.Params)
+	m2, err := sys.Compile(p2)
 	if err != nil {
 		log.Fatal(err)
 	}

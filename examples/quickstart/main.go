@@ -5,12 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"plasticine/internal/core"
 	"plasticine/internal/dhdl"
 	"plasticine/internal/pattern"
+	"plasticine/internal/sim"
 )
 
 func main() {
@@ -69,7 +71,7 @@ func main() {
 	}
 	fmt.Printf("\n%s", mapping.Summary())
 
-	res, st, err := sys.Run(prog)
+	res, st, err := sim.Simulate(context.Background(), mapping, sim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -54,7 +55,7 @@ type Explanation struct {
 // when it does not — which pattern nodes demanded the resource that ran out.
 func Explain(p *dhdl.Program, params arch.Params, plan *fault.Plan) *Explanation {
 	ex := &Explanation{Program: p.Name}
-	m, pt, err := CompileTraced(p, params, plan)
+	m, pt, err := compileTraced(context.Background(), p, Options{Params: params, Faults: plan})
 	ex.Passes = pt
 	if err == nil {
 		ex.Fits = true

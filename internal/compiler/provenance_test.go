@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func buildOriginDot(n, tile, lanes, par int) *dhdl.Program {
 // non-empty Origin, and nodes built from origin-annotated controllers carry
 // the source-level name rather than the physical one.
 func TestNetlistCarriesOrigins(t *testing.T) {
-	m, err := Compile(buildOriginDot(1024, 256, 16, 1), arch.Default())
+	m, err := CompileOpts(context.Background(), buildOriginDot(1024, 256, 16, 1), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestNetlistCarriesOrigins(t *testing.T) {
 // TestNetlistOriginFallsBackToName: hand-written DHDL without SetOrigin still
 // yields full provenance (origin == unit name, never empty).
 func TestNetlistOriginFallsBackToName(t *testing.T) {
-	m, err := Compile(buildDotProgram(1024, 256, 16), arch.Default())
+	m, err := CompileOpts(context.Background(), buildDotProgram(1024, 256, 16), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestNetlistOriginFallsBackToName(t *testing.T) {
 // TestPassTraceRecordsPipeline: a successful compile records every pass of
 // the pipeline, in order, with wall times and structured stats.
 func TestPassTraceRecordsPipeline(t *testing.T) {
-	m, pt, err := CompileTraced(buildOriginDot(1024, 256, 16, 1), arch.Default(), nil)
+	m, pt, err := compileTraced(context.Background(), buildOriginDot(1024, 256, 16, 1), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestPassTraceRecordsPipeline(t *testing.T) {
 func TestPassTraceSurvivesFailure(t *testing.T) {
 	params := arch.Default()
 	params.Chip.Cols, params.Chip.Rows = 2, 2
-	m, pt, err := CompileTraced(buildOriginDot(1<<16, 256, 16, 8), params, nil)
+	m, pt, err := compileTraced(context.Background(), buildOriginDot(1<<16, 256, 16, 8), Options{Params: params})
 	if err == nil {
 		t.Fatal("expected a fit failure on a 2x2 fabric")
 	}
@@ -239,7 +240,7 @@ func TestRepairExtendsPassTrace(t *testing.T) {
 // TestSummaryIncludesOrigin: the human-readable mapping summary names the
 // originating source node next to physical coordinates.
 func TestSummaryIncludesOrigin(t *testing.T) {
-	m, err := Compile(buildOriginDot(1024, 256, 16, 1), arch.Default())
+	m, err := CompileOpts(context.Background(), buildOriginDot(1024, 256, 16, 1), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}

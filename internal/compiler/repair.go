@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -236,7 +237,7 @@ func patchRoutes(m *Mapping, plan *fault.Plan, moved map[int]bool, rep *RepairRe
 // counts cover every unit whose position changed.
 func fullRecompile(m *Mapping, plan *fault.Plan, rep *RepairReport) (*RepairReport, error) {
 	rep.FullRecompile = true
-	fresh, freshPT, err := CompileTraced(m.Prog, m.Params, plan)
+	fresh, freshPT, err := compileTraced(context.Background(), m.Prog, Options{Params: m.Params, Faults: plan})
 	if freshPT != nil {
 		// Keep the recompile's per-pass record, marked as repair work.
 		for _, e := range freshPT.Entries {

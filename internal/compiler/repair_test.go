@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // compileDot compiles the shared dot-product fixture fault-free.
 func compileDot(t *testing.T) *Mapping {
 	t.Helper()
-	m, err := Compile(buildDotProgram(1024, 256, 16), arch.Default())
+	m, err := CompileOpts(context.Background(), buildDotProgram(1024, 256, 16), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,25 +36,9 @@ func WithParams(p arch.Params) *System {
 	return &System{Params: p, FPGA: fpga.StratixV()}
 }
 
-// Compile maps a DHDL program onto the fabric.
+// Compile maps a DHDL program onto the pristine fabric.
 func (s *System) Compile(p *dhdl.Program) (*compiler.Mapping, error) {
-	return compiler.Compile(p, s.Params)
-}
-
-// CompileFaulted maps a DHDL program onto the fabric under a fault plan:
-// the placer avoids disabled tiles and routes detour dead switches. A nil
-// plan is identical to Compile.
-func (s *System) CompileFaulted(p *dhdl.Program, plan *fault.Plan) (*compiler.Mapping, error) {
-	return compiler.CompileWithFaults(p, s.Params, plan)
-}
-
-// Run compiles and simulates a program whose DRAM buffers are bound.
-func (s *System) Run(p *dhdl.Program) (*sim.Result, *dhdl.State, error) {
-	m, err := s.Compile(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sim.Simulate(context.Background(), m, sim.Options{})
+	return compiler.CompileOpts(context.Background(), p, compiler.Options{Params: s.Params})
 }
 
 // BenchResult is one Table 7 row: Plasticine vs the FPGA baseline.
@@ -98,25 +82,21 @@ type BenchResult struct {
 	Passes *compiler.PassTrace `json:"-"`
 }
 
-// RunBenchmark executes one Table 4 benchmark end to end, checks its
-// functional output, and models the FPGA baseline on the same instance.
+// RunBenchmark executes one Table 4 benchmark end to end on the pristine
+// fabric, checks its functional output, and models the FPGA baseline on the
+// same instance.
 func (s *System) RunBenchmark(b workloads.Benchmark) (*BenchResult, error) {
-	return s.RunBenchmarkOpts(b, nil, sim.Options{})
+	return s.RunBenchmarkCtx(context.Background(), b, nil, sim.Options{})
 }
 
-// RunBenchmarkOpts is RunBenchmark under a fault plan and simulator
-// options. Faults degrade timing, never results: the functional check must
-// still pass, or the run fails. A plan with timed mid-run events goes
-// through the recovery controller (checkpoint, repair, resume); without
+// RunBenchmarkCtx is RunBenchmark under a context, a fault plan and
+// simulator options. Faults degrade timing, never results: the functional
+// check must still pass, or the run fails. A plan with timed mid-run events
+// goes through the recovery controller (checkpoint, repair, resume); without
 // events the flow is bit-identical to the plain simulation pipeline.
-func (s *System) RunBenchmarkOpts(b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*BenchResult, error) {
-	return s.RunBenchmarkCtx(context.Background(), b, plan, opts)
-}
-
-// RunBenchmarkCtx is RunBenchmarkOpts under a context: compilation checks
-// ctx between passes and the simulator polls it periodically, so a parallel
-// suite can abandon in-flight work when a sibling fails or the user
-// interrupts.
+// Compilation checks ctx between passes and the simulator polls it
+// periodically, so a parallel suite can abandon in-flight work when a
+// sibling fails or the user interrupts.
 func (s *System) RunBenchmarkCtx(ctx context.Context, b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*BenchResult, error) {
 	endCompile := metrics.StartPhase(ctx, "compile")
 	p, err := b.Build()
@@ -184,20 +164,6 @@ func (s *System) RunBenchmarkCtx(ctx context.Context, b workloads.Benchmark, pla
 		r.PerfPerWatt = r.Speedup * fpgaPower / r.PowerW
 	}
 	return r, nil
-}
-
-// Table7 runs all thirteen benchmarks and returns their rows in paper
-// order.
-func (s *System) Table7() ([]*BenchResult, error) {
-	var out []*BenchResult
-	for _, b := range workloads.All() {
-		r, err := s.RunBenchmark(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // FormatTable7 renders Table 7 rows in the paper's layout.

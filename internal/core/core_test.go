@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestTable7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 7 is slow")
 	}
-	rows, err := New().Table7()
+	rows, err := NewSession().Table7(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestSystemRunCustomProgram(t *testing.T) {
 	if err := d.Bind(pattern.FromF32("d", data)); err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := New().Run(p)
+	res, st, err := NewSession().Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,19 +29,6 @@ type ProfileResult struct {
 	Collector *trace.Collector
 }
 
-// ProfileBenchmark is RunBenchmarkOpts with the observability subsystem
-// armed: every physical unit's busy/stall/idle cycles are attributed, link
-// and DRAM-channel traffic is counted, and recovery windows (if the fault
-// plan fires mid-run events) are charged fabric-wide.
-func (s *System) ProfileBenchmark(b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*ProfileResult, error) {
-	col, opts := newProfileRecorder(opts)
-	r, err := s.RunBenchmarkOpts(b, plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	return assembleProfile(b.Name(), r, col), nil
-}
-
 // newProfileRecorder arms a fresh collector on the given options.
 func newProfileRecorder(opts sim.Options) (*trace.Collector, sim.Options) {
 	col := trace.NewCollector()
@@ -216,36 +203,6 @@ type BenchSim struct {
 type BenchFile struct {
 	Schema  string     `json:"schema"`
 	Results []BenchSim `json:"results"`
-}
-
-// BenchSims simulates the named benchmarks (all of Table 4 when names is
-// empty) and reports simulated cycles against host wall time.
-func (s *System) BenchSims(names []string) ([]BenchSim, error) {
-	var benches []workloads.Benchmark
-	if len(names) == 0 {
-		benches = workloads.All()
-	} else {
-		for _, n := range names {
-			b, err := workloads.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			benches = append(benches, b)
-		}
-	}
-	var out []BenchSim
-	for _, b := range benches {
-		r, err := s.RunBenchmark(b)
-		if err != nil {
-			return nil, err
-		}
-		bs := BenchSim{Benchmark: r.Name, Cycles: r.Cycles, SimWallSeconds: r.SimWallSec}
-		if bs.SimWallSeconds > 0 {
-			bs.CyclesPerSec = float64(bs.Cycles) / bs.SimWallSeconds
-		}
-		out = append(out, bs)
-	}
-	return out, nil
 }
 
 // BenchJSON serialises results as the versioned BENCH_sim.json document.

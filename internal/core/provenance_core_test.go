@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"plasticine/internal/compiler"
 	"plasticine/internal/fault"
-	"plasticine/internal/sim"
 	"plasticine/internal/workloads"
 )
 
@@ -84,9 +84,9 @@ func TestMappingProvenanceGolden(t *testing.T) {
 // to the simulated makespan, and every traced unit resolves to a
 // source-level origin.
 func TestPatternRollupSumsToMakespan(t *testing.T) {
-	sys := New()
+	sess := NewSession()
 	for _, b := range provenanceBenches() {
-		p, err := sys.ProfileBenchmark(b, nil, sim.Options{})
+		p, err := sess.Profile(context.Background(), b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestPatternRollupSumsToMakespan(t *testing.T) {
 // TestProfileByPatternRendering: the rendered table names pattern nodes and
 // states the exact-sum identity.
 func TestProfileByPatternRendering(t *testing.T) {
-	p, err := New().ProfileBenchmark(workloads.NewInnerProduct(), nil, sim.Options{})
+	p, err := NewSession().Profile(context.Background(), workloads.NewInnerProduct())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestProfileByPatternRendering(t *testing.T) {
 // TestProfileCarriesCompilePasses: a profiled run exposes the compile pass
 // trace and ships it on the Chrome trace's compiler track.
 func TestProfileCarriesCompilePasses(t *testing.T) {
-	p, err := New().ProfileBenchmark(workloads.NewInnerProduct(), nil, sim.Options{})
+	p, err := NewSession().Profile(context.Background(), workloads.NewInnerProduct())
 	if err != nil {
 		t.Fatal(err)
 	}

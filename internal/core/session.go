@@ -202,8 +202,8 @@ func optsKey(o sim.Options) string {
 	if o.Faults != nil {
 		f = fmt.Sprintf("dramfaults=%+v", *o.Faults)
 	}
-	return fmt.Sprintf("cw=%d nbuf=%t %s %s max=%d stall=%d engine=%v",
-		o.CoalesceWindow, o.DisableNBuffer, d, f, o.MaxCycles, o.StallWindow, o.Engine)
+	return fmt.Sprintf("cw=%d nbuf=%t %s %s max=%d stall=%d",
+		o.CoalesceWindow, o.DisableNBuffer, d, f, o.MaxCycles, o.StallWindow)
 }
 
 // freshInstance returns a private copy of a registry benchmark. Benchmarks
@@ -329,8 +329,8 @@ func (s *Session) Bench(ctx context.Context, names []string) ([]BenchSim, error)
 // uncached (the collector is a side effect) and single-threaded per call,
 // but safe to invoke from parallel jobs.
 func (s *Session) Profile(ctx context.Context, b workloads.Benchmark) (*ProfileResult, error) {
-	// ProfileBenchmark owns the collector; route the session's plan through a
-	// clone and a fresh benchmark instance like every other run.
+	// The collector is private to this call; route the session's plan
+	// through a clone and a fresh benchmark instance like every other run.
 	b = freshInstance(b)
 	col, opts := newProfileRecorder(s.simOpts)
 	r, err := s.sys.RunBenchmarkCtx(ctx, b, s.plan.Clone(), opts)
@@ -347,9 +347,16 @@ func (s *Session) Explain(b workloads.Benchmark) (*compiler.Explanation, error) 
 }
 
 // Resilience sweeps fault fractions for one benchmark, fanning the points
-// across the engine's workers. The fraction-0 baseline is part of the same
-// fan-out; slowdowns are folded afterwards in fraction order, so the rows
-// are identical at any worker count.
+// across the engine's workers. The fraction-0 point is always included
+// first and is the slowdown baseline; infeasible points (the program no
+// longer fits the healthy fabric) are reported, not treated as errors. The
+// base spec's memory-fault surface — latency-spike and transient-retry
+// probabilities and their tuning fields — applies at every fraction,
+// including the baseline, so the sweep isolates the cost of the disabled
+// tiles on an already-noisy memory system; its own tile counts and timed
+// events must be zero, since the sweep owns those. The baseline is part of
+// the same fan-out; slowdowns are folded afterwards in fraction order, so
+// the rows are identical at any worker count.
 func (s *Session) Resilience(ctx context.Context, b workloads.Benchmark, base fault.Spec, fracs []float64) ([]ResilienceRow, error) {
 	if base.PCUs != 0 || base.PMUs != 0 || base.Switches != 0 || len(base.Events) != 0 {
 		return nil, fmt.Errorf("core: resilience: base spec must not disable tiles or schedule events")

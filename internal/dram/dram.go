@@ -467,7 +467,7 @@ func (d *DRAM) Accepts(addr uint64) (ok, down bool) {
 // without performing them. The event-driven engine parks a transfer whose
 // submissions are blocked instead of re-attempting every cycle; this keeps
 // the counters — which are part of the checkpoint wire format — identical
-// to the legacy engine's per-cycle attempts.
+// to the cycle-by-cycle reference loop's per-cycle attempts.
 func (d *DRAM) AccountRejects(down bool, n int64) {
 	if n <= 0 {
 		return

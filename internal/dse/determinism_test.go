@@ -5,6 +5,7 @@ package dse
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"plasticine/internal/arch"
@@ -29,6 +30,44 @@ func TestFigure7PanelDeterministicAcrossWorkers(t *testing.T) {
 	if seq.Format() != par.Format() {
 		t.Errorf("panel f differs across worker counts:\nworkers=1:\n%s\nworkers=8:\n%s",
 			seq.Format(), par.Format())
+	}
+}
+
+// TestRatioAndTable6DeterministicAcrossWorkers: the sequential, uncached
+// sweep (nil engine) and an 8-worker cached sweep must return identical
+// ratio-study rows and Table 6 ladders.
+func TestRatioAndTable6DeterministicAcrossWorkers(t *testing.T) {
+	benches, err := LoadBenches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := arch.Default()
+	ctx := context.Background()
+	seq := NewSweep(benches, params.Chip, nil)
+	par := NewSweep(benches, params.Chip, exec.NewEngine(8))
+
+	seqRatios, err := seq.RatioStudy(ctx, params)
+	if err != nil {
+		t.Fatalf("sequential ratio study: %v", err)
+	}
+	parRatios, err := par.RatioStudy(ctx, params)
+	if err != nil {
+		t.Fatalf("workers=8 ratio study: %v", err)
+	}
+	if !reflect.DeepEqual(seqRatios, parRatios) {
+		t.Errorf("ratio rows differ:\nsequential %+v\nworkers=8  %+v", seqRatios, parRatios)
+	}
+
+	seqT6, err := seq.Table6(ctx, params)
+	if err != nil {
+		t.Fatalf("sequential Table 6: %v", err)
+	}
+	parT6, err := par.Table6(ctx, params)
+	if err != nil {
+		t.Fatalf("workers=8 Table 6: %v", err)
+	}
+	if !reflect.DeepEqual(seqT6, parT6) {
+		t.Errorf("Table 6 ladders differ:\nsequential %+v\nworkers=8  %+v", seqT6, parT6)
 	}
 }
 

@@ -2,8 +2,8 @@
 // simulator core schedules on. Entries are keyed by (cycle, insertion
 // sequence): the earliest cycle pops first, and entries scheduled for the
 // same cycle pop in the order they were pushed. That tie-break is load-
-// bearing — the simulator's byte-identity guarantee against the legacy
-// cycle-by-cycle engine requires same-cycle DRAM completions to fire in
+// bearing — the simulator's byte-identity guarantee against its
+// cycle-by-cycle reference loop requires same-cycle DRAM completions to fire in
 // submission order, because each firing advances the fault model's PRNG.
 package eventq
 
@@ -57,7 +57,7 @@ func (q *Queue[T]) Pop() (T, int64) {
 // Filter visits every entry in push order and keeps those for which keep
 // returns true, preserving their keys. Used for fault-time surgery (a
 // killed DRAM channel drops its in-flight completions); visiting in push
-// order matches the legacy engine's slice iteration so lost-work callbacks
+// order matches the former slice iteration so lost-work callbacks
 // fire in the same order.
 func (q *Queue[T]) Filter(keep func(v T) bool) {
 	ordered := q.ordered()

@@ -23,10 +23,9 @@ const agOutstanding = 32
 // agIssueWidth is bursts an AG can enqueue per cycle.
 const agIssueWidth = 1
 
-// rxState is the event-driven core's view of one running transfer. The
-// legacy cycle loop scans every running transfer every cycle; the event
-// core instead keeps only actionable transfers in the active list and
-// parks the rest until the event that could unblock them fires.
+// rxState is the event core's view of one running transfer: it keeps only
+// actionable transfers in the active list and parks the rest until the
+// event that could unblock them fires.
 type rxState uint8
 
 const (
@@ -47,13 +46,12 @@ type runningXfer struct {
 	// never mutated, so the graph fingerprint stays valid across recovery.
 	requeue []int
 
-	// Event-core bookkeeping (untouched by the legacy cycle loop). seq is
-	// the admission order — the legacy engine attempts transfers in running-
-	// list order every cycle, so the event core's issue pass must scan its
-	// active subset in exactly that order. accountedThrough supports the
-	// parked-transfer virtual stall accounting (see settleParked): the last
-	// cycle whose would-be rejected submission has been added to the DRAM
-	// stall counters. blockedDown/blockedChan record why/where a blocked
+	// Event-core bookkeeping. seq is the admission order — the cycle-by-
+	// cycle reference attempts transfers in running-list order every cycle,
+	// so the event core's issue pass must scan its active subset in exactly
+	// that order. accountedThrough supports the parked-transfer virtual
+	// stall accounting (see settleParked): the last cycle whose would-be
+	// rejected submission has been added to the DRAM stall counters. blockedDown/blockedChan record why/where a blocked
 	// transfer parked.
 	seq              int64
 	state            rxState
@@ -102,11 +100,10 @@ type engine struct {
 	dram  *dram.DRAM
 	clock int64
 
-	// mode selects the scheduling core: EngineEvent (default) skips between
-	// state-changing cycles, EngineCycle is the legacy cycle-by-cycle
-	// reference loop. Both produce byte-identical results; the cycle loop is
-	// kept as the regression oracle (see the golden differential tests).
-	mode EngineKind
+	// sched, when non-nil, replaces the discrete-event core (event.go).
+	// Only tests set it, to run the cycle-by-cycle oracle the event core is
+	// checked against (see the golden differential tests).
+	sched scheduler
 
 	// Observability: units is the builder's physical-unit registry; rec, when
 	// non-nil, arms the per-transfer busy/high-water counters. Everything
@@ -142,13 +139,13 @@ type engine struct {
 	lastBursts     int64
 	lastProgressAt int64
 
-	// Event-core state (unused by the legacy cycle loop). active is the
-	// subset of running transfers that may issue a burst next cycle, kept in
-	// admission (seq) order; activeDirty marks out-of-order wakeups that
-	// require a re-sort. parked maps a DRAM channel index (-1 = every
-	// channel down) to the transfers blocked on it. retireNeeded is set by
-	// the completion callback when a transfer lands its last burst, so the
-	// O(running) retire scan only runs on cycles where something can retire.
+	// Event-core state. active is the subset of running transfers that may
+	// issue a burst next cycle, kept in admission (seq) order; activeDirty
+	// marks out-of-order wakeups that require a re-sort. parked maps a DRAM
+	// channel index (-1 = every channel down) to the transfers blocked on
+	// it. retireNeeded is set by the completion callback when a transfer
+	// lands its last burst, so the O(running) retire scan only runs on
+	// cycles where something can retire.
 	nextSeq      int64
 	active       []*runningXfer
 	activeDirty  bool
@@ -213,11 +210,10 @@ func (e *engine) drainReady() {
 	}
 }
 
-// burstDone builds the completion callback for one transfer's bursts. Both
-// engine modes and checkpoint restore share it, so a burst landing has
-// identical effects everywhere. In event mode a completion additionally
-// wakes a saturated AG and flags the retire scan when the transfer's last
-// burst lands.
+// burstDone builds the completion callback for one transfer's bursts.
+// Admission and checkpoint restore share it, so a burst landing has
+// identical effects everywhere. A completion wakes a saturated AG and flags
+// the retire scan when the transfer's last burst lands.
 func (e *engine) burstDone(rx *runningXfer) func(now int64) {
 	return func(now int64) {
 		rx.inFlight--
@@ -226,23 +222,21 @@ func (e *engine) burstDone(rx *runningXfer) func(now int64) {
 		if e.rec != nil {
 			rx.markBusy(now)
 		}
-		if e.mode == EngineEvent {
-			if rx.state == rxSat {
-				rx.state = rxActive
-				e.active = append(e.active, rx)
-				e.activeDirty = true
-			}
-			if rx.completed == len(rx.act.bursts) {
-				e.retireNeeded = true
-			}
+		if rx.state == rxSat {
+			rx.state = rxActive
+			e.active = append(e.active, rx)
+			e.activeDirty = true
+		}
+		if rx.completed == len(rx.act.bursts) {
+			e.retireNeeded = true
 		}
 	}
 }
 
 // issueInto attempts one cycle's worth of burst submissions for one
-// transfer (the legacy per-cycle AG sequence, verbatim): reissue fault-
-// dropped bursts before advancing to new ones, stop at the outstanding cap
-// or the first rejected submission.
+// transfer (the per-cycle AG sequence): reissue fault-dropped bursts before
+// advancing to new ones, stop at the outstanding cap or the first rejected
+// submission.
 func (e *engine) issueInto(rx *runningXfer) {
 	for k := 0; k < agIssueWidth; k++ {
 		if rx.inFlight >= agOutstanding {
@@ -273,14 +267,6 @@ func (e *engine) issueInto(rx *runningXfer) {
 				rx.hiWater = rx.inFlight
 			}
 		}
-	}
-}
-
-// issueBursts feeds each running transfer's AG, reissuing fault-dropped
-// bursts before advancing to new ones.
-func (e *engine) issueBursts() {
-	for _, rx := range e.running {
-		e.issueInto(rx)
 	}
 }
 
@@ -340,57 +326,24 @@ func (e *engine) checkWatchdog() error {
 	return nil
 }
 
+// scheduler is a scheduling core. Production engines run the discrete-event
+// core (event.go); the cycle-by-cycle loop it must match byte for byte is a
+// test-only oracle that installs itself through engine.sched.
+type scheduler interface {
+	runUntil(e *engine, stopAt int64) (bool, error)
+	drainInFlight(e *engine) (QuiesceState, int64, error)
+}
+
 // runUntil advances the schedule until every activity resolves or the clock
 // reaches stopAt (>= 0; pass a negative stopAt to run to completion). It
 // returns true when the schedule finished. On a stop the engine is at a loop
 // boundary — between cycles — which is exactly where a checkpoint or fault
 // event may be applied.
 func (e *engine) runUntil(stopAt int64) (bool, error) {
-	if e.mode == EngineCycle {
-		return e.runUntilCycle(stopAt)
+	if e.sched != nil {
+		return e.sched.runUntil(e, stopAt)
 	}
 	return e.runUntilEvent(stopAt)
-}
-
-// runUntilCycle is the legacy cycle-by-cycle loop, kept verbatim as the
-// reference oracle the event core is differentially tested against.
-func (e *engine) runUntilCycle(stopAt int64) (bool, error) {
-	e.start()
-	e.drainReady()
-	for len(e.waiting) > 0 || len(e.running) > 0 {
-		if stopAt >= 0 && e.clock >= stopAt {
-			return false, nil
-		}
-		// Admit transfers whose start time has arrived; if idle, jump (but
-		// never past the stop point).
-		if len(e.running) == 0 && len(e.waiting) > 0 && e.waiting[0].start > e.clock {
-			jump := e.waiting[0].start
-			if stopAt >= 0 && jump > stopAt {
-				jump = stopAt
-			}
-			e.clock = jump
-			e.lastProgressAt = e.clock // a jump is forward progress
-			if stopAt >= 0 && e.clock >= stopAt {
-				return false, nil
-			}
-		}
-		for len(e.waiting) > 0 && e.waiting[0].start <= e.clock {
-			a := heap.Pop(&e.waiting).(*activity)
-			rx := &runningXfer{act: a, lastBusy: -1}
-			rx.done = e.burstDone(rx)
-			e.running = append(e.running, rx)
-			e.lastProgressAt = e.clock // admission is forward progress
-		}
-		e.issueBursts()
-		e.clock++
-		e.dram.Tick(e.clock)
-		if err := e.checkWatchdog(); err != nil {
-			return false, err
-		}
-		e.retire()
-		e.drainReady()
-	}
-	return true, nil
 }
 
 // run resolves every activity and returns the makespan in cycles.
@@ -464,26 +417,8 @@ func (e *engine) quiescent() bool {
 // overhead. The watchdog stays armed, so a drain that cannot finish (e.g.
 // every channel down) aborts instead of spinning.
 func (e *engine) drainInFlight() (QuiesceState, int64, error) {
-	if e.mode == EngineCycle {
-		return e.drainInFlightCycle()
+	if e.sched != nil {
+		return e.sched.drainInFlight(e)
 	}
 	return e.drainInFlightEvent()
-}
-
-// drainInFlightCycle is the legacy per-cycle drain loop.
-func (e *engine) drainInFlightCycle() (QuiesceState, int64, error) {
-	q := e.quiesceState()
-	from := e.clock
-	for !e.quiescent() {
-		e.clock++
-		e.dram.Tick(e.clock)
-		if err := e.checkWatchdog(); err != nil {
-			return q, e.clock - from, err
-		}
-		e.retire()
-	}
-	// Transfers finishing exactly at the drain boundary retire here so the
-	// checkpoint sees them resolved.
-	e.retire()
-	return q, e.clock - from, nil
 }

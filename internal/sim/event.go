@@ -5,14 +5,15 @@ import (
 	"sort"
 )
 
-// This file is the discrete-event scheduling core (EngineEvent, the
-// default). It resolves the identical activity graph against the identical
-// DRAM model as the legacy cycle-by-cycle loop in engine.go, but instead of
-// ticking every cycle it computes the next state-changing cycle and jumps
-// straight to it. Byte-identity with the legacy loop is the contract — same
+// This file is the discrete-event scheduling core, the simulator's only
+// production core. It resolves the activity graph against the DRAM model
+// exactly as a cycle-by-cycle loop would (that loop survives as the
+// test-only reference oracle in oracle_test.go), but instead of ticking
+// every cycle it computes the next state-changing cycle and jumps straight
+// to it. Byte-identity with the reference loop is the contract — same
 // cycle counts, same DRAM counters, same checkpoint bytes, same watchdog
 // trip cycles — and rests on one invariant: every cycle skipped over is
-// provably a no-op under the legacy loop's per-cycle step sequence
+// provably a no-op under the reference loop's per-cycle step sequence
 // [admit, issue, tick, watchdog, retire, drainReady].
 //
 // Event taxonomy (the candidates nextEventCycle gathers):
@@ -23,18 +24,18 @@ import (
 //     channel's queued work finds a ready bank;
 //   - deadlines: the watchdog's stall window, the cycle budget, and the
 //     periodic context-cancellation poll, so aborts land on the same cycle
-//     the legacy loop would trip.
+//     the reference loop would trip.
 //
 // Transfers that cannot act are parked instead of rescanned: a saturated AG
 // (32 bursts in flight) wakes on a completion; an AG whose submission was
 // rejected parks against its target channel and wakes when that channel
-// frees a queue slot. The legacy engine increments a DRAM stall counter for
+// frees a queue slot. The reference loop increments a DRAM stall counter for
 // every rejected per-cycle submission attempt, and those counters are part
 // of the checkpoint wire format — parked transfers therefore account their
 // skipped attempts virtually (settleParked) so the counters stay exact.
 
 // issueBurstsEvent is the event core's issue pass: only transfers that may
-// actually submit this cycle are scanned, in admission order (the legacy
+// actually submit this cycle are scanned, in admission order (the reference
 // loop attempts transfers in running-list order, which is admission order).
 // It reports whether any transfer remains issuable next cycle.
 func (e *engine) issueBurstsEvent() bool {
@@ -109,7 +110,7 @@ func (e *engine) settleOne(rx *runningXfer, upto int64) {
 }
 
 // settleParked settles every parked transfer's virtual rejections through
-// cycle upto — called wherever the legacy loop's real per-cycle attempts
+// cycle upto — called wherever the reference loop's real per-cycle attempts
 // stop being replayable (a pause, an abort). Counter order within a cycle
 // does not matter: the stall counters are plain sums.
 func (e *engine) settleParked(upto int64) {
@@ -125,7 +126,7 @@ func (e *engine) settleParked(upto int64) {
 // admission order — exactly the set whose next real attempt can differ from
 // a rejection. A woken transfer that still loses the race for the slot (an
 // active lower-seq transfer claims it first) simply fails its real attempt
-// and re-parks, which is what the legacy loop's attempt would have done.
+// and re-parks, which is what the reference loop's attempt would have done.
 func (e *engine) wakeParked() {
 	if len(e.parked) == 0 {
 		return
@@ -158,7 +159,7 @@ func (e *engine) wakeParked() {
 }
 
 // nextEventCycle returns the next cycle at which engine or memory state can
-// change — the cycle the legacy loop would next do observable work on. All
+// change — the cycle the reference loop would next do observable work on. All
 // intermediate cycles are no-ops by construction: no admission is due, no
 // active AG can issue, the DRAM has no completion/retry/refresh/schedule
 // opportunity, and no watchdog deadline expires.
@@ -199,20 +200,20 @@ func (e *engine) nextEventCycle(stopAt int64, canIssue bool) int64 {
 	}
 	if e.ctx != nil {
 		// Land exactly on the poll boundary so a cancellation aborts at the
-		// same cycle the legacy loop would observe it.
+		// same cycle the reference loop would observe it.
 		consider(e.nextCtxCheck)
 	}
 	if next < 0 {
 		next = e.clock + 1
 	}
 	if stopAt >= 0 && next > stopAt {
-		next = stopAt // the legacy loop ticks stopAt itself before pausing
+		next = stopAt // the reference loop ticks stopAt itself before pausing
 	}
 	return next
 }
 
 // runUntilEvent is runUntil's discrete-event implementation. The loop body
-// mirrors the legacy cycle loop's phase order exactly — stop check, idle
+// mirrors the reference cycle loop's phase order exactly — stop check, idle
 // jump, admission, issue, clock advance, memory tick, watchdog, retire,
 // dependency drain — with the clock advancing to the next event instead of
 // by one.
@@ -271,7 +272,7 @@ func (e *engine) runUntilEvent(stopAt int64) (bool, error) {
 // drainInFlightEvent is drainInFlight's discrete-event implementation: jump
 // between memory-system events until quiescent, issuing nothing, with the
 // watchdog's deadlines still armed. Parked transfers accrue no stall
-// counters during a drain (the legacy drain never attempts submissions);
+// counters during a drain (the reference drain never attempts submissions);
 // their accounting resumes at the post-drain clock.
 func (e *engine) drainInFlightEvent() (QuiesceState, int64, error) {
 	q := e.quiesceState()
@@ -329,7 +330,7 @@ func (e *engine) drainInFlightEvent() (QuiesceState, int64, error) {
 
 // rebuildEventState re-derives the event core's indexes after a checkpoint
 // restore: every running transfer starts active, so the first issue pass
-// attempts them all at the resume cycle — exactly what the legacy loop does
+// attempts them all at the resume cycle — exactly what the reference loop does
 // — and re-parks the ones that cannot act.
 func (e *engine) rebuildEventState() {
 	e.active = e.active[:0]

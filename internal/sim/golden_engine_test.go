@@ -17,28 +17,29 @@ import (
 // This file is the event core's byte-identity contract, enforced: every
 // Table 4 benchmark runs through both scheduling cores and every observable
 // — cycle count, DRAM counters, trace report, pattern rollup, checkpoint
-// bytes, recovery decomposition — must match exactly. The legacy cycle loop
-// is the oracle; any divergence is an event-core bug by definition.
+// bytes, recovery decomposition — must match exactly. The cycle-by-cycle
+// loop (oracle_test.go) is the oracle; any divergence is an event-core bug
+// by definition.
 
-// goldenRun executes one benchmark under the given engine with a collector
-// armed and returns everything observable about the run.
-func goldenRun(t *testing.T, b workloads.Benchmark, kind EngineKind) (*Result, *trace.Report, *trace.PatternReport) {
+// goldenRun executes one benchmark on the given scheduling core with a
+// collector armed and returns everything observable about the run.
+func goldenRun(t *testing.T, b workloads.Benchmark, sched scheduler) (*Result, *trace.Report, *trace.PatternReport) {
 	t.Helper()
 	prog, err := b.Build()
 	if err != nil {
 		t.Fatalf("%s: build: %v", b.Name(), err)
 	}
-	m, err := compiler.Compile(prog, arch.Default())
+	m, err := compiler.CompileOpts(context.Background(), prog, compiler.Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatalf("%s: compile: %v", b.Name(), err)
 	}
 	col := trace.NewCollector()
-	res, st, err := Simulate(context.Background(), m, Options{Engine: kind, Recorder: col})
+	res, st, err := simulate(context.Background(), m, Options{Recorder: col}, sched)
 	if err != nil {
-		t.Fatalf("%s: simulate (%v engine): %v", b.Name(), kind, err)
+		t.Fatalf("%s: simulate (%s engine): %v", b.Name(), coreName(sched), err)
 	}
 	if err := b.Check(st); err != nil {
-		t.Fatalf("%s (%v engine): %v", b.Name(), kind, err)
+		t.Fatalf("%s (%s engine): %v", b.Name(), coreName(sched), err)
 	}
 	return res, col.Report(), col.PatternReport(b.Name())
 }
@@ -51,8 +52,8 @@ func TestEngineGoldenIdentity(t *testing.T) {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
 			t.Parallel()
-			evRes, evRep, evPat := goldenRun(t, b, EngineEvent)
-			cyRes, cyRep, cyPat := goldenRun(t, b, EngineCycle)
+			evRes, evRep, evPat := goldenRun(t, b, nil)
+			cyRes, cyRep, cyPat := goldenRun(t, b, cycleOracle{})
 			if evRes.Cycles != cyRes.Cycles {
 				t.Errorf("cycles: event %d, cycle %d", evRes.Cycles, cyRes.Cycles)
 			}
@@ -78,15 +79,15 @@ func TestEngineGoldenIdentity(t *testing.T) {
 func TestEngineGoldenFaultedIdentity(t *testing.T) {
 	faults := &dram.Faults{Seed: 11, SpikeProb: 0.05, SpikeCycles: 40,
 		TransientProb: 0.02, MaxRetries: 4, RetryBackoff: 8}
-	run := func(kind EngineKind) *Result {
+	run := func(sched scheduler) *Result {
 		m, _, _ := recoverySetup(t, nil)
-		res, _, err := Simulate(context.Background(), m, Options{Engine: kind, Faults: faults})
+		res, _, err := simulate(context.Background(), m, Options{Faults: faults}, sched)
 		if err != nil {
-			t.Fatalf("%v engine: %v", kind, err)
+			t.Fatalf("%s engine: %v", coreName(sched), err)
 		}
 		return res
 	}
-	ev, cy := run(EngineEvent), run(EngineCycle)
+	ev, cy := run(nil), run(cycleOracle{})
 	if ev.Cycles != cy.Cycles {
 		t.Errorf("cycles: event %d, cycle %d", ev.Cycles, cy.Cycles)
 	}
@@ -103,23 +104,23 @@ func TestEngineGoldenFaultedIdentity(t *testing.T) {
 // strictest equivalence the simulator can express, covering every clock,
 // counter, queue, bank, PRNG and in-flight request field.
 func TestEngineGoldenCheckpoint(t *testing.T) {
-	snap := func(kind EngineKind) []byte {
+	snap := func(sched scheduler) []byte {
 		m, _, _ := recoverySetup(t, nil)
-		eng, _, err := prepare(m, Options{Engine: kind})
+		eng, _, err := prepare(m, Options{}, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fin, err := eng.runUntil(700); err != nil {
-			t.Fatalf("%v engine: %v", kind, err)
+			t.Fatalf("%s engine: %v", coreName(sched), err)
 		} else if fin {
-			t.Fatalf("%v engine: finished before the pause cycle", kind)
+			t.Fatalf("%s engine: finished before the pause cycle", coreName(sched))
 		}
 		if _, _, err := eng.drainInFlight(); err != nil {
-			t.Fatalf("%v engine: drain: %v", kind, err)
+			t.Fatalf("%s engine: drain: %v", coreName(sched), err)
 		}
 		return eng.checkpoint().Encode()
 	}
-	ev, cy := snap(EngineEvent), snap(EngineCycle)
+	ev, cy := snap(nil), snap(cycleOracle{})
 	if !bytes.Equal(ev, cy) {
 		t.Fatalf("checkpoints diverge: event %d bytes, cycle %d bytes (or same size, different content)", len(ev), len(cy))
 	}
@@ -130,24 +131,24 @@ func TestEngineGoldenCheckpoint(t *testing.T) {
 // recovery decompositions (pause cycle, drain cost, lost bursts,
 // reconfiguration stall).
 func TestEngineGoldenRecovery(t *testing.T) {
-	run := func(kind EngineKind) *Result {
+	run := func(sched scheduler) *Result {
 		plan, err := fault.NewPlan(fault.Spec{Seed: 2,
 			Events: []fault.EventSpec{{Kind: fault.KillChan, Cycle: 300}}}, arch.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
 		m, total, want := recoverySetup(t, plan)
-		res, st, err := Simulate(context.Background(), m, Options{Engine: kind, Recovery: true})
+		res, st, err := simulate(context.Background(), m, Options{Recovery: true}, sched)
 		if err != nil {
-			t.Fatalf("%v engine: %v", kind, err)
+			t.Fatalf("%s engine: %v", coreName(sched), err)
 		}
 		checkDot(t, st, total, want)
 		if res.Recovery == nil || len(res.Recovery.Events) == 0 {
-			t.Fatalf("%v engine: no recovery events recorded", kind)
+			t.Fatalf("%s engine: no recovery events recorded", coreName(sched))
 		}
 		return res
 	}
-	ev, cy := run(EngineEvent), run(EngineCycle)
+	ev, cy := run(nil), run(cycleOracle{})
 	if ev.Cycles != cy.Cycles {
 		t.Errorf("cycles: event %d, cycle %d", ev.Cycles, cy.Cycles)
 	}
@@ -162,19 +163,19 @@ func TestEngineGoldenRecovery(t *testing.T) {
 // TestWatchdogToleratesLongMemoryGap: a latency spike far longer than the
 // stall window is a long wait, not a livelock — the memory system still
 // holds the spiked burst, so the event-time-aware watchdog must let the run
-// finish. Both engines must agree (the legacy loop shares checkWatchdog).
+// finish. Both cores must agree (the oracle shares checkWatchdog).
 func TestWatchdogToleratesLongMemoryGap(t *testing.T) {
 	faults := &dram.Faults{Seed: 3, SpikeProb: 1.0, SpikeCycles: 400}
-	for _, kind := range []EngineKind{EngineEvent, EngineCycle} {
+	for _, sched := range []scheduler{nil, cycleOracle{}} {
 		m, total, want := recoverySetup(t, nil)
-		res, st, err := Simulate(context.Background(), m, Options{
-			Engine: kind, Faults: faults, StallWindow: 64})
+		res, st, err := simulate(context.Background(), m, Options{
+			Faults: faults, StallWindow: 64}, sched)
 		if err != nil {
-			t.Fatalf("%v engine: spiked run tripped the stall detector: %v", kind, err)
+			t.Fatalf("%s engine: spiked run tripped the stall detector: %v", coreName(sched), err)
 		}
 		checkDot(t, st, total, want)
 		if res.DRAM.LatencySpikes == 0 {
-			t.Fatalf("%v engine: no spikes fired; the test exercises nothing", kind)
+			t.Fatalf("%s engine: no spikes fired; the test exercises nothing", coreName(sched))
 		}
 	}
 }

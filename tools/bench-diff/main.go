@@ -9,9 +9,10 @@
 //
 //	go run ./tools/bench-diff [-threshold 0.0] [-min-cps 0] base.json new.json
 //
-// Exit status: 0 when every benchmark is within threshold (and above the
-// throughput floor, when set), 1 on regression or schema mismatch, 2 on
-// usage errors.
+// On success it also prints the slowest benchmark's throughput and its
+// margin over the -min-cps floor. Exit status: 0 when every benchmark is
+// within threshold (and above the throughput floor, when set), 1 on
+// regression or schema mismatch, 2 on usage errors.
 package main
 
 import (
@@ -58,9 +59,13 @@ func main() {
 		baseBy[r.Benchmark] = r
 	}
 	regressions := 0
+	var slowest *core.BenchSim
 	fmt.Printf("%-14s %12s %12s %9s %11s %9s\n",
 		"benchmark", "base cycles", "new cycles", "delta", "Mcyc/s", "cps delta")
-	for _, r := range cur.Results {
+	for i, r := range cur.Results {
+		if slowest == nil || r.CyclesPerSec < slowest.CyclesPerSec {
+			slowest = &cur.Results[i]
+		}
 		cps := fmt.Sprintf("%11.2f", r.CyclesPerSec/1e6)
 		slow := ""
 		if *minCPS > 0 && r.CyclesPerSec < *minCPS {
@@ -96,6 +101,13 @@ func main() {
 			regressions, 100**threshold, *minCPS)
 		os.Exit(1)
 	}
+	// Headroom: how much host noise the slowest benchmark can absorb before
+	// the throughput floor trips.
+	line := fmt.Sprintf("bench-diff: slowest %s at %.2f Mcyc/s", slowest.Benchmark, slowest.CyclesPerSec/1e6)
+	if *minCPS > 0 {
+		line += fmt.Sprintf(", %+.1f%% over the %.2f Mcyc/s floor", 100*(slowest.CyclesPerSec / *minCPS - 1), *minCPS/1e6)
+	}
+	fmt.Println(line)
 	fmt.Println("bench-diff: ok")
 }
 
