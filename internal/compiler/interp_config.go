@@ -199,7 +199,7 @@ func EvalStageProgram(stages []StageConfig, lanes []LaneEnv) (out []map[string]p
 					if err != nil {
 						return nil, err
 					}
-					regs[lane][st.Dst] = pattern.Eval(&pattern.Un{Op: op, X: litOf(v)}, nil)
+					regs[lane][st.Dst] = pattern.EvalUn(op, v)
 				}
 				continue
 			}
@@ -221,14 +221,4 @@ func EvalStageProgram(stages []StageConfig, lanes []LaneEnv) (out []map[string]p
 		}
 	}
 	return regs, nil
-}
-
-func litOf(v pattern.Value) pattern.Expr {
-	switch v.T {
-	case pattern.F32:
-		return pattern.F(v.F)
-	case pattern.I32:
-		return pattern.I(v.I)
-	}
-	return pattern.B(v.B)
 }

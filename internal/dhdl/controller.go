@@ -289,6 +289,8 @@ func (p *Program) Finalize() error {
 			if err := validateTransfer(c, next); err != nil {
 				return err
 			}
+		default:
+			return fmt.Errorf("dhdl: leaf controller %q has unknown kind %v", c.Name, c.Kind)
 		}
 		return nil
 	}

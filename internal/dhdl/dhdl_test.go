@@ -414,3 +414,39 @@ func TestKindPredicates(t *testing.T) {
 		t.Error("Compute is neither outer nor transfer")
 	}
 }
+
+// TestTraceIterationsAllocateNothing is a deterministic allocation gate:
+// tracing a one-Compute program over N iterations allocates exactly as
+// often as over 4N, so the per-iteration loop is allocation-free. The body
+// touches every assign kind except FIFO pushes (whose queue must grow) and
+// every expression node except FIFO pops, including a unary op and an op
+// that falls back to pattern.EvalOp.
+func TestTraceIterationsAllocateNothing(t *testing.T) {
+	allocs := func(n int) float64 {
+		b := NewBuilder("allocs", Sequential)
+		s := b.SRAM("s", pattern.F32, 16)
+		acc := b.Reg("acc", pattern.VF(0))
+		prod := b.Reg("prod", pattern.VF(1))
+		last := b.Reg("last", pattern.VI(0))
+		b.Compute("body", []Counter{C(n)}, func(ix []Expr) []*Assign {
+			slot := Mod(ix[0], CI(16))
+			x := F32(ix[0])
+			return []*Assign{
+				StoreAt(s, Add(Mul(Sub(ix[0], ix[0]), CI(3)), slot), Exp(Neg(Ld(s, slot)))),
+				AccumAt(s, pattern.Max, slot, Sel(Lt(x, CF(8)), x, F32(I32(x)))),
+				Accum(acc, pattern.Add, Min(x, Rd(acc))),
+				AccumIf(prod, pattern.Mul, Gt(x, CF(1)), CF(1)),
+				SetReg(last, Add(ix[0], Rd(last))),
+			}
+		})
+		p := b.MustBuild()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(256), allocs(1024); a != b {
+		t.Fatalf("tracing 256 iterations allocates %v times, 1024 iterations %v: the iteration loop allocates", a, b)
+	}
+}

@@ -106,7 +106,7 @@ func TestEngineGoldenFaultedIdentity(t *testing.T) {
 func TestEngineGoldenCheckpoint(t *testing.T) {
 	snap := func(sched scheduler) []byte {
 		m, _, _ := recoverySetup(t, nil)
-		eng, _, err := prepare(m, Options{}, sched)
+		eng, _, err := prepare(context.Background(), m, Options{}, sched)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func (s *RecoveryStats) Overhead() int64 { return s.DrainCycles + s.ReconfigCycl
 // compiler.ErrInsufficient or compiler.ErrNoRoute) fails the run.
 func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options, sched scheduler) (*Result, *dhdl.State, error) {
 	events := m.Faults.Events()
-	eng, st, err := prepare(m, opts, sched)
+	eng, st, err := prepare(ctx, m, opts, sched)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -98,10 +98,11 @@ type Options struct {
 }
 
 // Simulate runs a compiled program and is the one simulator entry point: the
-// context bounds the run (cancellation surfaces as a *WatchdogError whose
-// Cause is ctx.Err()), and Options selects everything else — ablations,
-// fault injection, watchdog budgets, tracing and the recovery protocol. All
-// of the program's DRAM buffers must be bound to
+// context bounds the run (a cancellation during the functional trace
+// returns an error wrapping ctx.Err(); during timing it surfaces as a
+// *WatchdogError whose Cause is ctx.Err()), and Options selects everything
+// else — ablations, fault injection, watchdog budgets, tracing and the
+// recovery protocol. All of the program's DRAM buffers must be bound to
 // collections; the functional results land in those collections and the
 // returned state, while the returned Result carries the cycle-level timing.
 func Simulate(ctx context.Context, m *compiler.Mapping, opts Options) (*Result, *dhdl.State, error) {
@@ -119,20 +120,21 @@ func simulate(ctx context.Context, m *compiler.Mapping, opts Options, sched sche
 	return runPlain(ctx, m, opts, sched)
 }
 
-// prepare runs the functional trace, builds the timed activity graph, and
-// constructs the memory system — everything up to (but excluding) advancing
-// the clock. The uninterrupted and recovering paths share it, so both
-// simulate the identical graph against the identical DRAM. The trace
-// mutates the program's bound collections in place, so prepare must run
-// exactly once per simulation; recovery restores into the graph it built
-// rather than re-tracing.
-func prepare(m *compiler.Mapping, opts Options, sched scheduler) (*engine, *dhdl.State, error) {
+// prepare runs the functional trace (which polls ctx once per leaf
+// execution), builds the timed activity graph, and constructs the memory
+// system — everything up to (but excluding) advancing the clock. The
+// uninterrupted and recovering paths share it, so both simulate the
+// identical graph against the identical DRAM. The trace mutates the
+// program's bound collections in place, so prepare must run exactly once
+// per simulation; recovery restores into the graph it built rather than
+// re-tracing.
+func prepare(ctx context.Context, m *compiler.Mapping, opts Options, sched scheduler) (*engine, *dhdl.State, error) {
 	b := newBuilder(m)
 	if opts.CoalesceWindow > 0 {
 		b.coalesceWindow = opts.CoalesceWindow
 	}
 	b.disableNBuffer = opts.DisableNBuffer
-	st, err := dhdl.Trace(m.Prog, b.handle)
+	st, err := dhdl.TraceCtx(ctx, m.Prog, b.handle)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: functional execution failed: %w", err)
 	}
@@ -174,12 +176,12 @@ func buildResult(m *compiler.Mapping, e *engine, cycles int64, t0 time.Time) *Re
 	return res
 }
 
-// runPlain simulates an uninterrupted run: the engine polls ctx periodically
-// (see ctxCheckInterval) and a canceled run aborts with a *WatchdogError
-// whose Cause is the context error, so errors.Is(err, context.Canceled)
-// holds.
+// runPlain simulates an uninterrupted run: the trace polls ctx per leaf
+// execution and the engine periodically (see ctxCheckInterval). A run
+// canceled during timing aborts with a *WatchdogError whose Cause is the
+// context error; either way errors.Is(err, context.Canceled) holds.
 func runPlain(ctx context.Context, m *compiler.Mapping, opts Options, sched scheduler) (*Result, *dhdl.State, error) {
-	eng, st, err := prepare(m, opts, sched)
+	eng, st, err := prepare(ctx, m, opts, sched)
 	if err != nil {
 		return nil, nil, err
 	}

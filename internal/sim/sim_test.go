@@ -2,13 +2,16 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
 	"plasticine/internal/dhdl"
 	"plasticine/internal/pattern"
+	"plasticine/internal/workloads"
 )
 
 // dotSetup compiles and binds a tiled dot product.
@@ -293,5 +296,35 @@ func TestSimResultDerivedMetrics(t *testing.T) {
 	}
 	if got := r.EffectiveBandwidth(); got != 1024/1e-6 {
 		t.Errorf("EffectiveBandwidth = %g", got)
+	}
+}
+
+// TestSimulateHonoursDeadlineDuringTrace: the functional trace runs before
+// the engine's first context poll, so it must poll the context itself. A
+// 50 ms deadline on GEMM (whose trace alone takes most of a second) must
+// end the run within a leaf execution or so, not after the whole trace.
+func TestSimulateHonoursDeadlineDuringTrace(t *testing.T) {
+	b, err := workloads.ByName("GEMM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := compiler.CompileOpts(context.Background(), prog, compiler.Options{Params: arch.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	t0 := time.Now()
+	_, _, err = Simulate(ctx, m, Options{})
+	took := time.Since(t0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	if took > 500*time.Millisecond {
+		t.Fatalf("Simulate returned %v after a 50ms deadline", took)
 	}
 }
