@@ -5,7 +5,10 @@
 // results (Table 5, Section 4.2).
 package arch
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // PCUParams are the tunable Pattern Compute Unit parameters (Table 3).
 type PCUParams struct {
@@ -158,6 +161,15 @@ func (p Params) Validate() error {
 			p.Chip.VectorFIFODepth, p.Chip.ScalarFIFODepth)
 	}
 	return nil
+}
+
+// Canonical returns the full-fidelity JSON encoding of p, naming every
+// field, so two configurations that differ anywhere encode differently.
+// It is the identity design-point cache keys are built on; String is a
+// lossy summary (no register or port counts) and must never key a cache.
+func (p Params) Canonical() string {
+	b, _ := json.Marshal(p) // a struct of ints cannot fail to encode
+	return string(b)
 }
 
 // String summarises the configuration.

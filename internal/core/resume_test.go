@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"plasticine/internal/arch"
 	"plasticine/internal/exec"
 )
 
@@ -49,6 +50,44 @@ func TestBenchmarkResultResumesFromDiskTier(t *testing.T) {
 		r2.Util != r1.Util || r2.Speedup != r1.Speedup ||
 		r2.DRAMReadMB != r1.DRAMReadMB || r2.DRAMWriteMB != r1.DRAMWriteMB {
 		t.Fatalf("resumed result differs:\n%+v\nvs\n%+v", r2, r1)
+	}
+}
+
+// TestBenchKeyDistinguishesFullParams: sessions whose architectures differ
+// only in a field Params.String leaves out (the PCU register count) must not
+// share a core/bench entry in one disk tier — the second session simulates
+// its own design instead of reading the first one's result.
+func TestBenchKeyDistinguishesFullParams(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	open := func(p arch.Params) *Session {
+		d, err := exec.OpenDiskCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewSession(WithArch(p), WithDiskCache(d))
+	}
+	base := arch.Default()
+	other := base
+	other.PCU.Registers++
+	if base.String() != other.String() {
+		t.Fatalf("premise: String should not show registers (%q vs %q)", base, other)
+	}
+
+	s1 := open(base)
+	if _, err := s1.RunBenchmark(ctx, mustBench(t, "InnerProduct")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.FlushCache(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := open(other)
+	if _, err := s2.RunBenchmark(ctx, mustBench(t, "InnerProduct")); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.CacheStats(); st.DiskHits != 0 || st.DiskWrites != 1 {
+		t.Fatalf("second architecture: %d disk hits, %d writes; want 0 and 1 (its own entry)",
+			st.DiskHits, st.DiskWrites)
 	}
 }
 

@@ -232,7 +232,7 @@ func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fau
 		return s.sys.RunBenchmarkCtx(ctx, b, plan.Clone(), opts)
 	}
 	k := exec.NewKey("core/bench", b.Name(),
-		fmt.Sprintf("%+v", s.sys.Params), planKey(plan), optsKey(opts))
+		s.sys.Params.Canonical(), planKey(plan), optsKey(opts))
 	// Phase attribution: when this call computes the point itself, the
 	// compile/sim spans recorded inside RunBenchmarkCtx tell the story and
 	// no "cache" span is emitted. When the result came from the cache — a

@@ -251,6 +251,11 @@ func (p *Program) Leaves() []*Controller {
 
 // Finalize assigns counter depths and validates the tree.
 func (p *Program) Finalize() error {
+	// An undeclared SRAM has no storage, so the interpreter could not run it.
+	declared := make(map[*SRAM]bool, len(p.SRAMs))
+	for _, m := range p.SRAMs {
+		declared[m] = true
+	}
 	var rec func(c *Controller, depth int) error
 	rec = func(c *Controller, depth int) error {
 		c.Depth = depth
@@ -292,6 +297,11 @@ func (p *Program) Finalize() error {
 		default:
 			return fmt.Errorf("dhdl: leaf controller %q has unknown kind %v", c.Name, c.Kind)
 		}
+		for _, m := range leafSRAMs(c) {
+			if m != nil && !declared[m] {
+				return fmt.Errorf("dhdl: %s uses SRAM %q, which program %q does not declare", c.Name, m.Name, p.Name)
+			}
+		}
 		return nil
 	}
 	if p.Root == nil {
@@ -303,6 +313,28 @@ func (p *Program) Finalize() error {
 		}
 	}
 	return rec(p.Root, 0)
+}
+
+// leafSRAMs lists every SRAM a leaf names (nil for absent endpoints):
+// assign destinations, transfer endpoints and streams, and reads inside
+// any of its expressions.
+func leafSRAMs(c *Controller) []*SRAM {
+	var mems []*SRAM
+	var exprs []Expr
+	for _, a := range c.Body {
+		mems = append(mems, a.SRAM)
+		exprs = append(exprs, a.Val, a.Addr, a.Cond)
+	}
+	if x := c.Xfer; x != nil {
+		mems = append(mems, x.SRAM, x.AddrMem, x.DataMem)
+		exprs = append(exprs, x.Off, x.SRAMOff)
+	}
+	for _, e := range exprs {
+		if e != nil {
+			mems = append(mems, ReadSRAMs(e)...)
+		}
+	}
+	return mems
 }
 
 func allCounters(c *Controller) []Counter {

@@ -77,8 +77,9 @@ func newState(p *Program) *State {
 }
 
 // The slot lookups bind a memory the program uses but never declared to a
-// fresh slot holding what an unset memory reads as: a nil SRAM (any access
-// panics), a zero register, an empty FIFO.
+// fresh slot holding what an unset memory reads as: a zero register, an
+// empty FIFO. SRAMs never take this path: Finalize rejects a program that
+// uses an SRAM it does not declare.
 
 func (s *State) sramSlotOf(m *SRAM) int {
 	i, ok := s.sramSlot[m]
@@ -522,7 +523,7 @@ func (lw *lowering) transfer(c *Controller) func(env []int32) *ExecEvent {
 			for i := 0; i < x.Len; i++ {
 				v := dramRead(x.DRAM, o+i)
 				if x.SRAM != nil {
-					if so+i >= x.SRAM.Size {
+					if so+i < 0 || so+i >= x.SRAM.Size {
 						ifail("load %q overflows SRAM %q at %d", c.Name, x.SRAM.Name, so+i)
 					}
 					sramWrite(x.SRAM, sram, so+i, v)

@@ -264,7 +264,7 @@ func (in *interp) runTransfer(c *Controller, env []int32) *ExecEvent {
 		for i := 0; i < x.Len; i++ {
 			v := in.dramRead(x.DRAM, off+i)
 			if x.SRAM != nil {
-				if sramOff+i >= x.SRAM.Size {
+				if sramOff+i < 0 || sramOff+i >= x.SRAM.Size {
 					ifail("load %q overflows SRAM %q at %d", c.Name, x.SRAM.Name, sramOff+i)
 				}
 				in.sramWrite(x.SRAM, sramOff+i, v)
@@ -629,6 +629,9 @@ func TestOracleErrors(t *testing.T) {
 		{"load overflow", `load "x" overflows SRAM "s" at 8`, func(m mems) []*Controller {
 			return []*Controller{xfer(LoadKind, &Transfer{DRAM: m.d, Len: 8, SRAM: m.s, SRAMOff: CI(4)})}
 		}},
+		{"load negative offset", `load "x" overflows SRAM "s" at -2`, func(m mems) []*Controller {
+			return []*Controller{xfer(LoadKind, &Transfer{DRAM: m.d, Len: 4, SRAM: m.s, SRAMOff: CI(-2)})}
+		}},
 		{"store FIFO underflow", `store "x" pops 5 from FIFO "f" holding 0`, func(m mems) []*Controller {
 			return []*Controller{xfer(StoreKind, &Transfer{DRAM: m.d, Len: 8, FIFO: m.f, CountReg: m.five})}
 		}},
@@ -675,6 +678,10 @@ func TestOracleErrors(t *testing.T) {
 		}},
 		{"f32 modulo", `pattern: bad f32 op`, func(m mems) []*Controller {
 			return []*Controller{compute([]Counter{C(2)}, StoreAt(m.s, Idx(0), Mod(CF(1), CF(2))))}
+		}},
+		{"undeclared SRAM", `dhdl: c uses SRAM "ghost", which program "bad" does not declare`, func(m mems) []*Controller {
+			ghost := &SRAM{Name: "ghost", Elem: i32, Size: 4, NBuf: 1}
+			return []*Controller{compute([]Counter{C(2)}, SetReg(m.r, Ld(ghost, Idx(0))))}
 		}},
 		{"unknown leaf kind", `unknown kind`, func(m mems) []*Controller {
 			return []*Controller{{Name: "k", Kind: Kind(99)}}

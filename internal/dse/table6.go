@@ -91,7 +91,7 @@ func hetPMUArea(m *compiler.VirtualPMU) float64 {
 // finished row is one persistent-tier entry, so a resumed Table 6 run skips
 // completed benchmarks outright.
 func (s *Sweep) table6Row(b *Bench, params arch.Params) (Ladder, error) {
-	k := exec.NewKey("dse/table6-row", b.Name, fmt.Sprintf("%+v", params), fmt.Sprintf("%+v", s.Chip))
+	k := exec.NewKey("dse/table6-row", b.Name, params.Canonical(), fmt.Sprintf("%+v", s.Chip))
 	return exec.CachedJSON(s.Engine.Cache(), k, func() (Ladder, error) {
 		return s.table6RowUncached(b, params)
 	})

@@ -84,7 +84,7 @@ func (s CacheStats) String() string {
 // once, identically, for every requester). A computation that panics is
 // never memoized: its entry is discarded, the panic propagates to its own
 // requester, and blocked requesters recompute from scratch. A nil *Cache
-// disables caching: Do simply calls compute.
+// disables caching: CachedJSON simply calls compute.
 type Cache struct {
 	mu      sync.Mutex
 	buckets map[uint64][]*cacheEntry
@@ -103,21 +103,14 @@ type cacheEntry struct {
 	err      error
 }
 
-// codec translates cached values to and from the persistent tier's byte
-// payloads. Entries without a codec (plain Do/Cached) stay memory-only.
-type codec struct {
-	encode func(any) ([]byte, error)
-	decode func([]byte) (any, error)
-}
-
 // NewCache returns an empty cache with no persistent tier.
 func NewCache() *Cache {
 	return &Cache{buckets: map[uint64][]*cacheEntry{}}
 }
 
-// AttachDisk puts a persistent tier under the cache: codec-carrying lookups
-// (CachedJSON) that miss in memory consult disk before computing, and
-// successful results are written through. Attach before use; nil detaches.
+// AttachDisk puts a persistent tier under the cache: lookups that miss in
+// memory consult disk before computing, and successful results are written
+// through. Attach before use; nil detaches.
 // Nil-safe on a nil cache (no-op).
 func (c *Cache) AttachDisk(d *DiskCache) {
 	if c == nil {
@@ -138,15 +131,9 @@ func (c *Cache) Disk() *DiskCache {
 	return c.disk
 }
 
-// Do returns the cached value for k, computing and storing it on first use.
-// Memory-only: Do carries no codec, so the persistent tier is not consulted
-// (use CachedJSON for values that should survive the process). Nil-safe: a
-// nil cache just runs compute.
-func (c *Cache) Do(k Key, compute func() (any, error)) (any, error) {
-	return c.do(k, nil, compute)
-}
-
-func (c *Cache) do(k Key, cod *codec, compute func() (any, error)) (any, error) {
+// do returns the cached value for k, computing and storing it on first use.
+// Nil-safe: a nil cache just runs compute.
+func (c *Cache) do(k Key, decode func([]byte) (any, error), compute func() (any, error)) (any, error) {
 	if c == nil {
 		return compute()
 	}
@@ -179,7 +166,7 @@ func (c *Cache) do(k Key, cod *codec, compute func() (any, error)) (any, error) 
 			first = false
 		}
 		if owner {
-			return c.fill(k, e, disk, cod, compute)
+			return c.fill(k, e, disk, decode, compute)
 		}
 		<-e.done
 		if e.panicked {
@@ -196,7 +183,7 @@ func (c *Cache) do(k Key, cod *codec, compute func() (any, error)) (any, error) 
 // is un-published first, so the panic is never memoized: the panicking
 // requester gets the panic (recovered into a PanicError by Pool.Map), and
 // everyone else recomputes.
-func (c *Cache) fill(k Key, e *cacheEntry, disk *DiskCache, cod *codec, compute func() (any, error)) (val any, err error) {
+func (c *Cache) fill(k Key, e *cacheEntry, disk *DiskCache, decode func([]byte) (any, error), compute func() (any, error)) (val any, err error) {
 	completed := false
 	defer func() {
 		if !completed {
@@ -205,27 +192,25 @@ func (c *Cache) fill(k Key, e *cacheEntry, disk *DiskCache, cod *codec, compute 
 			close(e.done)
 		}
 	}()
-	if cod != nil {
-		if data, ok := disk.Get(k); ok {
-			if v, derr := cod.decode(data); derr == nil {
-				e.val, e.err = v, nil
-				completed = true
-				close(e.done)
-				return v, nil
-			}
-			// Valid envelope, undecodable payload (e.g. the value type
-			// changed without a version bump): recompute and overwrite.
+	if data, ok := disk.Get(k); ok {
+		if v, derr := decode(data); derr == nil {
+			e.val, e.err = v, nil
+			completed = true
+			close(e.done)
+			return v, nil
 		}
+		// Valid envelope, undecodable payload (e.g. the value type changed
+		// without a version bump): recompute and overwrite.
 	}
 	val, err = compute()
 	e.val, e.err = val, err
 	completed = true
 	close(e.done)
-	if cod != nil && err == nil {
+	if err == nil && disk != nil {
 		// Write-through, best-effort; errors are never persisted — a
 		// failure observed in one process must not veto re-evaluation in
 		// the next.
-		if data, eerr := cod.encode(val); eerr == nil {
+		if data, eerr := json.Marshal(val); eerr == nil {
 			disk.Put(k, data)
 		}
 	}
@@ -266,33 +251,21 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
-// Cached is the typed convenience wrapper over Cache.Do (memory-only).
-func Cached[T any](c *Cache, k Key, compute func() (T, error)) (T, error) {
-	v, err := c.Do(k, func() (any, error) { return compute() })
-	if v == nil {
-		var zero T
-		return zero, err
-	}
-	return v.(T), err
-}
-
-// CachedJSON is Cached plus persistence: when the cache has a disk tier, a
-// memory miss consults it before computing, and successful values are
-// written through as JSON. T must JSON round-trip exactly (exported fields,
+// CachedJSON returns the cached value for k, computing and storing it on
+// first use; it is the cache's one entry point. When the cache has a disk
+// tier, a memory miss consults it before computing, and successful values
+// are written through as JSON. T must JSON round-trip exactly (exported fields,
 // no NaN/Inf — encode infeasibility as a flag); errors are never persisted.
 // Nil-safe: a nil cache just runs compute.
 func CachedJSON[T any](c *Cache, k Key, compute func() (T, error)) (T, error) {
-	cod := &codec{
-		encode: func(v any) ([]byte, error) { return json.Marshal(v) },
-		decode: func(data []byte) (any, error) {
-			var v T
-			if err := json.Unmarshal(data, &v); err != nil {
-				return nil, err
-			}
-			return v, nil
-		},
+	decode := func(data []byte) (any, error) {
+		var v T
+		if err := json.Unmarshal(data, &v); err != nil {
+			return nil, err
+		}
+		return v, nil
 	}
-	v, err := c.do(k, cod, func() (any, error) { return compute() })
+	v, err := c.do(k, decode, func() (any, error) { return compute() })
 	if v == nil {
 		var zero T
 		return zero, err

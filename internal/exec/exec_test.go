@@ -132,7 +132,7 @@ func TestCacheHitMissCounting(t *testing.T) {
 	c := NewCache()
 	calls := 0
 	get := func(k string) int {
-		v, err := Cached(c, NewKey("test", k), func() (int, error) {
+		v, err := CachedJSON(c, NewKey("test", k), func() (int, error) {
 			calls++
 			return len(k), nil
 		})
@@ -158,7 +158,7 @@ func TestCacheCachesErrors(t *testing.T) {
 	calls := 0
 	boom := errors.New("infeasible point")
 	for i := 0; i < 3; i++ {
-		_, err := Cached(c, NewKey("err"), func() (int, error) {
+		_, err := CachedJSON(c, NewKey("err"), func() (int, error) {
 			calls++
 			return 0, boom
 		})
@@ -178,17 +178,17 @@ func TestCacheFingerprintCollision(t *testing.T) {
 	c := NewCache()
 	ka := Key{hash: 42, str: "point-a"}
 	kb := Key{hash: 42, str: "point-b"}
-	va, err := Cached(c, ka, func() (string, error) { return "value-a", nil })
+	va, err := CachedJSON(c, ka, func() (string, error) { return "value-a", nil })
 	if err != nil || va != "value-a" {
 		t.Fatalf("ka: %q, %v", va, err)
 	}
-	vb, err := Cached(c, kb, func() (string, error) { return "value-b", nil })
+	vb, err := CachedJSON(c, kb, func() (string, error) { return "value-b", nil })
 	if err != nil || vb != "value-b" {
 		t.Fatalf("kb first use computed %q, %v — collision served the wrong entry?", vb, err)
 	}
 	// Re-reads hit the right entries.
-	va, _ = Cached(c, ka, func() (string, error) { return "WRONG", nil })
-	vb, _ = Cached(c, kb, func() (string, error) { return "WRONG", nil })
+	va, _ = CachedJSON(c, ka, func() (string, error) { return "WRONG", nil })
+	vb, _ = CachedJSON(c, kb, func() (string, error) { return "WRONG", nil })
 	if va != "value-a" || vb != "value-b" {
 		t.Fatalf("collision re-read: got %q/%q, want value-a/value-b", va, vb)
 	}
@@ -219,7 +219,7 @@ func TestCacheConcurrentSingleCompute(t *testing.T) {
 	const distinct = 7
 	err := NewPool(16).Map(context.Background(), 200, func(_ context.Context, i int) error {
 		k := i % distinct
-		v, err := Cached(c, NewKey("k", fmt.Sprint(k)), func() (int, error) {
+		v, err := CachedJSON(c, NewKey("k", fmt.Sprint(k)), func() (int, error) {
 			computes.Add(1)
 			time.Sleep(time.Millisecond) // widen the in-flight window
 			return k * 10, nil
@@ -245,7 +245,7 @@ func TestCacheConcurrentSingleCompute(t *testing.T) {
 
 func TestNilCacheAndEngine(t *testing.T) {
 	var c *Cache
-	v, err := Cached(c, NewKey("x"), func() (int, error) { return 9, nil })
+	v, err := CachedJSON(c, NewKey("x"), func() (int, error) { return 9, nil })
 	if err != nil || v != 9 {
 		t.Fatalf("nil cache: %d, %v", v, err)
 	}

@@ -160,7 +160,7 @@ func TestCacheNeverMemoizesPanic(t *testing.T) {
 	c := NewCache()
 	k := NewKey("explosive")
 	var calls atomic.Int64
-	compute := func() (any, error) {
+	compute := func() (string, error) {
 		if calls.Add(1) == 1 {
 			panic("first compute dies")
 		}
@@ -169,20 +169,20 @@ func TestCacheNeverMemoizesPanic(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("first Do did not propagate the panic")
+				t.Fatal("first lookup did not propagate the panic")
 			}
 		}()
-		c.Do(k, compute)
+		CachedJSON(c, k, compute)
 	}()
-	v, err := c.Do(k, compute)
+	v, err := CachedJSON(c, k, compute)
 	if err != nil || v != "recovered" {
-		t.Fatalf("Do after panic = (%v, %v), want (recovered, nil)", v, err)
+		t.Fatalf("lookup after panic = (%v, %v), want (recovered, nil)", v, err)
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("compute ran %d times, want 2 (panic not memoized, success memoized)", calls.Load())
 	}
-	if v, err := c.Do(k, compute); err != nil || v != "recovered" {
-		t.Fatalf("third Do = (%v, %v), want the memoized success", v, err)
+	if v, err := CachedJSON(c, k, compute); err != nil || v != "recovered" {
+		t.Fatalf("third lookup = (%v, %v), want the memoized success", v, err)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestCacheWaitersRecomputeAfterPanic(t *testing.T) {
 	inFirst.Add(1)
 	go func() {
 		defer func() { recover() }()
-		c.Do(k, func() (any, error) {
+		CachedJSON(c, k, func() (string, error) {
 			inFirst.Done()
 			<-release
 			panic("owner dies")
@@ -204,13 +204,13 @@ func TestCacheWaitersRecomputeAfterPanic(t *testing.T) {
 	}()
 	inFirst.Wait()
 	const waiters = 4
-	results := make([]any, waiters)
+	results := make([]string, waiters)
 	var wg sync.WaitGroup
 	for w := 0; w < waiters; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			v, err := c.Do(k, func() (any, error) { return "fresh", nil })
+			v, err := CachedJSON(c, k, func() (string, error) { return "fresh", nil })
 			if err != nil {
 				t.Errorf("waiter %d: %v", w, err)
 			}

@@ -65,9 +65,9 @@ func paramKey(p arch.Params) string {
 		p.PCU.VectorIns, p.PCU.VectorOuts, p.PMU.BankKB)
 }
 
-// rng is a splitmix64 generator. Unlike math/rand it is a single uint64 of
-// state, so a snapshot can persist it and a resumed search replays the
-// exact draw sequence.
+// rng is a splitmix64 generator: a single uint64 of state seeded from
+// Spec.Seed, with a draw sequence fixed by the algorithm rather than by a
+// library version, so a rerun of the same spec replays the exact draws.
 type rng struct{ state uint64 }
 
 func (r *rng) next() uint64 {

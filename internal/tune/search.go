@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -29,12 +28,14 @@ type search struct {
 
 	records []evalRecord    // every simulated candidate, in evaluation order
 	seen    map[string]bool // keys of evaluated candidates (dedup)
+}
 
-	snapPath string
-	specHash uint64
-
-	resumedGen   int
-	resumedEvals int64
+// evalRecord is one simulated candidate, in evaluation order. The ordered
+// record list is the whole mutable search state: front, parent selection
+// and dedup set are all recomputed from it.
+type evalRecord struct {
+	Point
+	Infeasible bool
 }
 
 // searchMetrics bundles the tuner's side-channel collectors. With a nil
@@ -68,8 +69,10 @@ func newSearchMetrics(r *metrics.Registry) searchMetrics {
 func RegisterSearchMetrics(r *metrics.Registry) { newSearchMetrics(r) }
 
 // Search runs one budgeted Pareto-front search. Deterministic for a fixed
-// spec at any engine worker count; resumable byte-identically from the PLTN
-// snapshot when the engine has a disk tier.
+// spec at any engine worker count. Resuming is rerunning: with a disk tier
+// attached, every evaluation an earlier run of the same spec paid for comes
+// back as a cache hit, so a killed or budget-extended search replays its
+// trajectory byte-identically and simulates only the new candidates.
 func Search(ctx context.Context, spec Spec, env Env) (*Result, error) {
 	if env.Evaluate == nil {
 		return nil, errors.New("tune: Env.Evaluate is required")
@@ -78,11 +81,10 @@ func Search(ctx context.Context, spec Spec, env Env) (*Result, error) {
 		return nil, err
 	}
 	s := &search{
-		spec:     spec,
-		env:      env,
-		rng:      rng{state: uint64(spec.Seed)},
-		seen:     map[string]bool{},
-		specHash: spec.hash(),
+		spec: spec,
+		env:  env,
+		rng:  rng{state: uint64(spec.Seed)},
+		seen: map[string]bool{},
 	}
 	if env.Bench != nil {
 		s.benches = make(map[string]*dse.Bench, len(spec.Mix))
@@ -93,10 +95,6 @@ func Search(ctx context.Context, spec Spec, env Env) (*Result, error) {
 			}
 			s.benches[m.Bench] = b
 		}
-	}
-	if d := env.Engine.Cache().Disk(); d != nil {
-		s.snapPath = snapshotPath(d.Dir(), &s.spec)
-		s.loadSnapshot()
 	}
 
 	// Side-channel instrumentation only: a nil registry hands out nil
@@ -121,11 +119,6 @@ func Search(ctx context.Context, spec Spec, env Env) (*Result, error) {
 		sm.dups.Add(s.dups - before.dups)
 		sm.evaluated.Add(int64(len(s.records)) - before.evaluated)
 		sm.infeasible.Add(s.infeasibleSim - before.infeasible)
-		if err := s.writeSnapshot(); err != nil {
-			// A failed snapshot write costs resumability, not correctness;
-			// the design-point cache still holds every completed evaluation.
-			s.env.logf("tune: snapshot write failed (search continues): %v", err)
-		}
 		if s.env.OnGeneration != nil {
 			s.env.OnGeneration(Generation{
 				Gen:       s.gen,
@@ -259,11 +252,11 @@ func (s *search) evaluate(ctx context.Context, survivors []candidate) error {
 		return err
 	}
 	for ci, c := range survivors {
-		rec := evalRecord{
+		rec := evalRecord{Point: Point{
 			Key: c.key, Params: c.params,
 			AreaMM2: c.area, PowerW: c.power, Gen: s.gen,
 			Cycles: map[string]int64{},
-		}
+		}}
 		for bi, m := range mix {
 			out := outs[ci*len(mix)+bi]
 			if out.Infeasible {
@@ -292,14 +285,7 @@ func (s *search) evaluate(ctx context.Context, survivors []candidate) error {
 // computed locally — the outcome is a pure function of (params, benchmark),
 // so stolen work is byte-identical to waited-for work.
 func (s *search) benchEval(ctx context.Context, c candidate, bench string, owned bool) (EvalOutcome, error) {
-	// Full-fidelity identity: %v would go through Params.String, which
-	// summarises (no port counts, no register count) and would collapse
-	// distinct designs onto one cache entry.
-	pb, err := json.Marshal(c.params)
-	if err != nil {
-		return EvalOutcome{}, fmt.Errorf("tune: cache key for %s: %w", c.key, err)
-	}
-	k := exec.NewKey("tune/eval", bench, string(pb))
+	k := exec.NewKey("tune/eval", bench, c.params.Canonical())
 	if !owned {
 		if out, ok := s.pollSibling(ctx, k); ok {
 			return out, nil
@@ -351,11 +337,7 @@ func (s *search) front() []Point {
 		if r.Infeasible {
 			continue
 		}
-		pts = append(pts, Point{
-			Key: r.Key, Params: r.Params,
-			AreaMM2: r.AreaMM2, PowerW: r.PowerW,
-			WeightedCycles: r.WeightedCycles, Cycles: r.Cycles, Gen: r.Gen,
-		})
+		pts = append(pts, r.Point)
 	}
 	front := make([]Point, 0, len(pts))
 	for i, p := range pts {
@@ -397,56 +379,17 @@ func (s *search) parents() []Point {
 	return front
 }
 
-// writeSnapshot persists the search state after a completed generation.
-func (s *search) writeSnapshot() error {
-	if s.snapPath == "" {
-		return nil
-	}
-	return writeSnapshotFile(s.snapPath, &snapshot{
-		SpecHash: s.specHash,
-		Seed:     s.spec.Seed,
-		Gen:      s.gen,
-		Rng:      s.rng.state,
-		Sampled:  s.sampled, Pruned: s.pruned,
-		Duplicates: s.dups, InfeasibleSim: s.infeasibleSim,
-		Records: s.records,
-	})
-}
-
-// loadSnapshot resumes from the cache directory's PLTN snapshot if one
-// matches this search's identity.
-func (s *search) loadSnapshot() {
-	snap, quarantined, err := loadSnapshotFile(s.snapPath, s.specHash)
-	if quarantined {
-		s.env.logf("tune: quarantined corrupt snapshot %s (search restarts from the design-point cache): %v", s.snapPath, err)
-	}
-	if snap == nil {
-		return
-	}
-	s.gen = snap.Gen
-	s.rng.state = snap.Rng
-	s.sampled, s.pruned = snap.Sampled, snap.Pruned
-	s.dups, s.infeasibleSim = snap.Duplicates, snap.InfeasibleSim
-	s.records = snap.Records
-	for _, r := range s.records {
-		s.seen[r.Key] = true
-	}
-	s.resumedGen, s.resumedEvals = snap.Gen, int64(len(snap.Records))
-}
-
 // result assembles the final front and accounting.
 func (s *search) result() *Result {
 	return &Result{
 		Front: s.front(),
 		Stats: Stats{
-			Generations:        s.gen,
-			Sampled:            s.sampled,
-			PrunedAnalytic:     s.pruned,
-			Duplicates:         s.dups,
-			Evaluated:          int64(len(s.records)),
-			InfeasibleSim:      s.infeasibleSim,
-			ResumedGenerations: s.resumedGen,
-			ResumedEvaluations: s.resumedEvals,
+			Generations:    s.gen,
+			Sampled:        s.sampled,
+			PrunedAnalytic: s.pruned,
+			Duplicates:     s.dups,
+			Evaluated:      int64(len(s.records)),
+			InfeasibleSim:  s.infeasibleSim,
 		},
 	}
 }

@@ -15,18 +15,17 @@
 // non-dominated half as the next generation's parents.
 //
 // Determinism: every random draw happens on the coordinator in a fixed
-// order from a seeded, serialisable RNG, evaluation results are a pure
-// function of (params, benchmark), and fronts are merged and sorted by
-// canonical keys — so a fixed seed yields a byte-identical front at any
-// worker count.
+// order from a seeded RNG, evaluation results are a pure function of
+// (params, benchmark), and fronts are merged and sorted by canonical keys —
+// so a fixed seed yields a byte-identical front at any worker count.
 //
-// Durability: when the engine has a disk tier, every evaluation persists
-// through the design-point cache and the search state itself is written
-// after each generation as a versioned PLTN snapshot (crc32, atomic
-// temp+rename, quarantine-on-corrupt — the PLDE/PLCK discipline). A
-// SIGKILL'd search rerun against the same cache directory resumes
-// byte-identically, and N cooperating processes can split one search via
-// Spec.Shard/Shards over a shared directory.
+// Durability: resuming is rerunning. The search is a pure function of its
+// spec, and when the engine has a disk tier every evaluation persists
+// through the design-point cache under a "tune/eval" key. A SIGKILL'd or
+// budget-extended search rerun against the same cache directory replays
+// its trajectory, gets every evaluation it already paid for back as a
+// cache hit, and finishes byte-identically; N cooperating processes can
+// split one search via Spec.Shard/Shards over a shared directory.
 package tune
 
 import (
@@ -34,7 +33,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,9 +89,9 @@ type Constraints struct {
 }
 
 // Spec describes one search. The identity fields (Mix, Constraints,
-// Population, Seed) determine the search trajectory and key its snapshot;
-// Budget, MaxGenerations, Shard/Shards and ShardWait are stop/execution
-// parameters a resumed run may change without invalidating prior work.
+// Population, Seed) determine the search trajectory; Budget,
+// MaxGenerations, Shard/Shards and ShardWait are stop/execution parameters
+// a rerun may change and still replay every evaluation already cached.
 type Spec struct {
 	Mix         []MixEntry  `json:"mix"`
 	Constraints Constraints `json:"constraints"`
@@ -117,7 +115,7 @@ type Spec struct {
 	// cache directory: shard i simulates candidates with evaluation index
 	// ≡ i (mod Shards) and polls the shared disk tier for the rest, falling
 	// back to local evaluation after ShardWait (work stealing keeps the
-	// result deterministic either way). Excluded from the search identity.
+	// result deterministic either way).
 	Shard  int `json:"-"`
 	Shards int `json:"-"`
 
@@ -125,8 +123,8 @@ type Spec struct {
 }
 
 // normalize canonicalises the spec in place: the mix is merged by benchmark
-// and sorted by name, and defaults are filled, so equal searches hash
-// equally and weighted sums fold in a fixed order.
+// and sorted by name, and defaults are filled, so equal searches follow the
+// same trajectory and weighted sums fold in a fixed order.
 func (s *Spec) normalize() error {
 	if len(s.Mix) == 0 {
 		return errors.New("tune: spec has an empty workload mix")
@@ -181,22 +179,6 @@ func (s *Spec) normalize() error {
 	return nil
 }
 
-// hash fingerprints the search identity: the fields that determine the
-// sampling trajectory. Budget, generation cap and sharding are deliberately
-// excluded — they only decide when to stop and who computes what, so a
-// rerun may extend the budget or change the shard layout and still resume.
-func (s *Spec) hash() uint64 {
-	var b strings.Builder
-	for _, m := range s.Mix {
-		fmt.Fprintf(&b, "%s:%g,", m.Bench, m.Weight)
-	}
-	fmt.Fprintf(&b, "|area=%g|power=%g|pop=%d|seed=%d|v=%d",
-		s.Constraints.MaxAreaMM2, s.Constraints.MaxPowerW, s.Population, s.Seed, SnapshotVersion)
-	h := fnv.New64a()
-	h.Write([]byte(b.String()))
-	return h.Sum64()
-}
-
 // EvalOutcome is one (candidate, benchmark) simulation result. Designs the
 // compiler cannot place or route — or that deadlock under simulation — are
 // infeasible points, not search-aborting errors; the flag keeps the
@@ -234,12 +216,6 @@ type Stats struct {
 	Duplicates     int64 `json:"duplicates"`
 	Evaluated      int64 `json:"evaluated"`
 	InfeasibleSim  int64 `json:"infeasible_sim"`
-
-	// Resume accounting is process-local (how much this run inherited from
-	// a snapshot) and excluded from JSON so a resumed run's document is
-	// byte-identical to an uninterrupted one's.
-	ResumedGenerations int   `json:"-"`
-	ResumedEvaluations int64 `json:"-"`
 }
 
 // Result is the search outcome: the non-dominated front over every
@@ -265,7 +241,7 @@ type Generation struct {
 // cycle with core while still riding the shared engine.
 type Env struct {
 	// Engine supplies the worker pool, the design-point cache (memory +
-	// optional disk tier, which also hosts the PLTN snapshot) and the job
+	// optional disk tier, the search's only durable state) and the job
 	// policy. A nil engine evaluates sequentially and uncached.
 	Engine *exec.Engine
 
@@ -281,20 +257,10 @@ type Env struct {
 	// OnGeneration, when set, observes each completed generation.
 	OnGeneration func(Generation)
 
-	// Logf receives diagnostics (snapshot quarantines, resume notes);
-	// nil discards them. Never used for results.
-	Logf func(format string, args ...any)
-
 	// Metrics, when set, receives side-channel instrumentation:
 	// generation wall time and prune-stage counters. Never feeds back
 	// into the search — results stay byte-identical with or without it.
 	Metrics *metrics.Registry
-}
-
-func (e *Env) logf(format string, args ...any) {
-	if e.Logf != nil {
-		e.Logf(format, args...)
-	}
 }
 
 // FormatFront renders the Pareto front as a text table.

@@ -7,9 +7,6 @@ package tune
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,6 +58,10 @@ func testSpec() Spec {
 	}
 }
 
+// perCandidate is len(testSpec().Mix): each evaluated candidate costs one
+// raw evaluation (or one cache lookup) per mix benchmark.
+const perCandidate = 2
+
 func searchJSON(t *testing.T, spec Spec, env Env) []byte {
 	t.Helper()
 	res, err := Search(context.Background(), spec, env)
@@ -111,9 +112,10 @@ func diskEnv(t *testing.T, workers int, dir string, calls *atomic.Int64) Env {
 }
 
 // TestKillAndResume is the durability contract: a search killed after its
-// first generation, rerun against the same cache directory, resumes from the
-// PLTN snapshot and finishes byte-identical to an uninterrupted run — and a
-// third run over the complete state recomputes and rewrites nothing.
+// first generation, rerun against the same cache directory, replays its
+// trajectory from disk hits and finishes byte-identical to an uninterrupted
+// run — and a third run over the complete cache recomputes and rewrites
+// nothing.
 func TestKillAndResume(t *testing.T) {
 	spec := testSpec()
 
@@ -122,10 +124,11 @@ func TestKillAndResume(t *testing.T) {
 
 	dir := t.TempDir()
 	// Run 1: die (via context cancellation — as abrupt as SIGKILL from the
-	// search's point of view, since snapshots only land at generation
-	// boundaries) after the first completed generation.
+	// search's point of view, since only completed evaluations persist)
+	// after the first completed generation.
 	ctx, cancel := context.WithCancel(context.Background())
-	env := diskEnv(t, 4, dir, nil)
+	var calls1 atomic.Int64
+	env := diskEnv(t, 4, dir, &calls1)
 	env.OnGeneration = func(g Generation) {
 		if g.Gen >= 1 {
 			cancel()
@@ -134,16 +137,17 @@ func TestKillAndResume(t *testing.T) {
 	if _, err := Search(ctx, spec, env); err == nil {
 		t.Fatal("canceled search reported success")
 	}
+	if calls1.Load() == 0 {
+		t.Fatal("run 1 evaluated nothing before it was killed")
+	}
 
-	// Run 2: same directory, fresh engine — must resume and match.
+	// Run 2: same directory, fresh engine — every evaluation run 1 paid
+	// for comes back from disk, and only the rest is simulated.
 	var calls atomic.Int64
 	env2 := diskEnv(t, 4, dir, &calls)
 	res, err := Search(context.Background(), spec, env2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Stats.ResumedGenerations < 1 || res.Stats.ResumedEvaluations < 1 {
-		t.Fatalf("run 2 did not resume: %+v", res.Stats)
 	}
 	got, err := ResultJSON(spec, res)
 	if err != nil {
@@ -152,9 +156,16 @@ func TestKillAndResume(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed document differs from uninterrupted run:\n-- resumed --\n%s\n-- clean --\n%s", got, want)
 	}
+	s2 := env2.Engine.CacheStats()
+	if s2.DiskHits != calls1.Load() {
+		t.Fatalf("run 2 served %d evaluations from disk, want the %d run 1 paid for", s2.DiskHits, calls1.Load())
+	}
+	if total := perCandidate * res.Stats.Evaluated; calls.Load()+s2.DiskHits != total {
+		t.Fatalf("run 2: %d raw + %d disk hits, want %d evaluations in all", calls.Load(), s2.DiskHits, total)
+	}
 
-	// Run 3: everything is already evaluated and snapshotted. No raw
-	// evaluations, no new disk writes for completed generations.
+	// Run 3: everything is already evaluated. No raw evaluations, no disk
+	// writes: the whole search is served from the tier.
 	calls.Store(0)
 	env3 := diskEnv(t, 4, dir, &calls)
 	res3, err := Search(context.Background(), spec, env3)
@@ -169,10 +180,14 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatalf("third run diverged:\n%s", got3)
 	}
 	if n := calls.Load(); n != 0 {
-		t.Fatalf("third run recomputed %d evaluations; the search state covers them all", n)
+		t.Fatalf("third run recomputed %d evaluations; the cache covers them all", n)
 	}
-	if s := env3.Engine.CacheStats(); s.DiskWrites != 0 {
-		t.Fatalf("third run rewrote %d cache entries for completed generations", s.DiskWrites)
+	s3 := env3.Engine.CacheStats()
+	if s3.DiskWrites != 0 {
+		t.Fatalf("third run rewrote %d cache entries", s3.DiskWrites)
+	}
+	if s3.DiskHits != perCandidate*res3.Stats.Evaluated {
+		t.Fatalf("third run: %d disk hits, want %d", s3.DiskHits, perCandidate*res3.Stats.Evaluated)
 	}
 }
 
@@ -224,69 +239,6 @@ func TestInfeasibleConsumesBudgetButNotFront(t *testing.T) {
 	}
 }
 
-// TestSnapshotQuarantine: a corrupt PLTN file is quarantined (inspectable,
-// never reread) and the search restarts cleanly.
-func TestSnapshotQuarantine(t *testing.T) {
-	spec := testSpec()
-	dir := t.TempDir()
-	want := searchJSON(t, spec, diskEnv(t, 2, t.TempDir(), nil))
-
-	norm := spec
-	if err := norm.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	path := snapshotPath(dir, &norm)
-	if err := os.WriteFile(path, []byte("PLTNgarbage-not-a-snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var quarantineLogged bool
-	env := diskEnv(t, 2, dir, nil)
-	env.Logf = func(format string, args ...any) {
-		if bytes.Contains([]byte(fmt.Sprintf(format, args...)), []byte("quarantined")) {
-			quarantineLogged = true
-		}
-	}
-	got := searchJSON(t, spec, env)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("search after quarantine diverged:\n%s", got)
-	}
-	if !quarantineLogged {
-		t.Fatal("quarantine was not logged")
-	}
-	if _, err := os.Stat(path + ".quarantined"); err != nil {
-		t.Fatalf("corrupt snapshot was not kept for inspection: %v", err)
-	}
-}
-
-// TestForeignSnapshotIgnored: a valid snapshot for a different search
-// identity must not be resumed (or quarantined).
-func TestForeignSnapshotIgnored(t *testing.T) {
-	spec := testSpec()
-	dir := t.TempDir()
-
-	other := testSpec()
-	other.Seed = 99
-	if err := other.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	norm := spec
-	if err := norm.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	// A snapshot with the *other* search's hash parked at *this* search's
-	// path (hand-constructed, as the doc comment warns).
-	if err := writeSnapshotFile(snapshotPath(dir, &norm), &snapshot{SpecHash: other.hash(), Seed: 99, Gen: 7}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Search(context.Background(), spec, diskEnv(t, 2, dir, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ResumedGenerations != 0 {
-		t.Fatalf("resumed from a foreign snapshot: %+v", res.Stats)
-	}
-}
-
 // TestShardedMatchesUnsharded: two cooperating shards over one cache
 // directory produce the same document as the unsharded search.
 func TestShardedMatchesUnsharded(t *testing.T) {
@@ -328,35 +280,50 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestBudgetExtensionResumes: raising the budget on a finished search's
-// directory continues it instead of restarting — Budget is excluded from the
-// search identity.
+// directory continues it instead of restarting — the extended run replays
+// the finished prefix from disk, pays only for the new candidates, and ends
+// byte-identical to a search run at the larger budget from scratch.
 func TestBudgetExtensionResumes(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec()
 	var calls atomic.Int64
-	if _, err := Search(context.Background(), spec, diskEnv(t, 2, dir, &calls)); err != nil {
-		t.Fatal(err)
-	}
-	small := calls.Load()
-
-	spec.Budget *= 2
-	calls.Store(0)
-	res, err := Search(context.Background(), spec, diskEnv(t, 2, dir, &calls))
+	small, err := Search(context.Background(), spec, diskEnv(t, 2, dir, &calls))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.ResumedEvaluations == 0 {
-		t.Fatalf("extension restarted from scratch: %+v", res.Stats)
+	if calls.Load() != perCandidate*small.Stats.Evaluated {
+		t.Fatalf("first run: %d raw calls for %d candidates", calls.Load(), small.Stats.Evaluated)
+	}
+
+	spec.Budget *= 2
+	want := searchJSON(t, spec, diskEnv(t, 2, t.TempDir(), nil))
+	calls.Store(0)
+	env := diskEnv(t, 2, dir, &calls)
+	res, err := Search(context.Background(), spec, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Evaluated <= small.Stats.Evaluated {
+		t.Fatalf("extension evaluated nothing new: %+v", res.Stats)
 	}
 	if res.Stats.Evaluated < int64(spec.Budget) && res.Stats.Generations < spec.MaxGenerations {
 		t.Fatalf("extension did not spend the new budget: %+v", res.Stats)
 	}
-	// Each candidate costs len(mix)=2 raw calls; the resumed prefix must
-	// cost none of them again.
-	newCandidates := res.Stats.Evaluated - res.Stats.ResumedEvaluations
-	if calls.Load() != 2*newCandidates {
-		t.Fatalf("extension recomputed the prefix: %d new calls for %d new candidates (first run: %d calls)",
-			calls.Load(), newCandidates, small)
+	if hits := env.Engine.CacheStats().DiskHits; hits != perCandidate*small.Stats.Evaluated {
+		t.Fatalf("extension served %d evaluations from disk, want the first run's %d",
+			hits, perCandidate*small.Stats.Evaluated)
+	}
+	newCandidates := res.Stats.Evaluated - small.Stats.Evaluated
+	if calls.Load() != perCandidate*newCandidates {
+		t.Fatalf("extension recomputed the prefix: %d new calls for %d new candidates",
+			calls.Load(), newCandidates)
+	}
+	got, err := ResultJSON(spec, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("extended document differs from a fresh run at the larger budget:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -395,32 +362,6 @@ func TestSpecNormalizeMergesAndLeavesCallerAlone(t *testing.T) {
 	}
 }
 
-// TestSpecHashIgnoresStopParams: budget, generation cap and sharding do not
-// change the search identity; everything else does.
-func TestSpecHashIgnoresStopParams(t *testing.T) {
-	base := testSpec()
-	if err := base.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	same := base
-	same.Budget, same.MaxGenerations, same.Shard, same.Shards = 999, 999, 1, 4
-	if base.hash() != same.hash() {
-		t.Fatal("stop/execution params changed the identity hash")
-	}
-	for _, change := range []func(*Spec){
-		func(s *Spec) { s.Seed++ },
-		func(s *Spec) { s.Population++ },
-		func(s *Spec) { s.Constraints.MaxAreaMM2 = 7 },
-		func(s *Spec) { s.Mix = append([]MixEntry{}, MixEntry{Bench: "X", Weight: 1}) },
-	} {
-		c := base
-		change(&c)
-		if base.hash() == c.hash() {
-			t.Fatalf("identity field change did not move the hash")
-		}
-	}
-}
-
 // TestGenomeStaysOnGrid: ten thousand mutations of a default-derived design
 // must stay on the gene grids and validate.
 func TestGenomeStaysOnGrid(t *testing.T) {
@@ -431,23 +372,5 @@ func TestGenomeStaysOnGrid(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("mutation %d left the valid grid: %v\n%+v", i, err, p)
 		}
-	}
-}
-
-// TestSnapshotFilePerShard: shards keep distinct snapshot files.
-func TestSnapshotFilePerShard(t *testing.T) {
-	s := testSpec()
-	if err := s.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	a := snapshotPath("d", &s)
-	sh := s
-	sh.Shard, sh.Shards = 1, 2
-	b := snapshotPath("d", &sh)
-	if a == b {
-		t.Fatalf("shard snapshot path collides with unsharded: %s", a)
-	}
-	if filepath.Dir(a) != "d" || filepath.Ext(a) != snapshotExt {
-		t.Fatalf("snapshot path shape: %s", a)
 	}
 }
